@@ -1,398 +1,26 @@
 """Batch kernels behind the enumeration sweeps.
 
-Every kernel exists twice: a per-instance loop compiled with numba's @njit
-and a numpy version vectorized over the instance axis.  The two return
-identical arrays; the active one is chosen at import time from the
-CLOSURESPACES_BACKEND environment variable ("numba" or "numpy", default
-numba when importable).  benchmarks/bench_backends.py times one against the
-other.
+Each kernel evaluates one family of predicates for a whole batch of
+instances at once: numpy operations run over the instance axis while Python
+loops run only over subsets and points, whose number depends on n alone.
+``python3 perfbench/run.py`` times the kernels inside the sweeps that use
+them.
 
 Tables arrive as int64 arrays of shape (count, 2**n); flag outputs are uint8
-with one row per instance.  Kernels are pure and release the GIL under
-numba, so chunk sweeps may run on a thread pool.
+with one row per instance.  Kernels are pure, so chunk sweeps may run on a
+thread pool.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-BACKEND_ENV = "CLOSURESPACES_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+# perfbench records these and fails any run whose backend is not numpy.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 
-def _pick_backend() -> str:
-    choice = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if HAVE_NUMBA:
-            return "numba"
-        warnings.warn("numba requested via %s but not importable; using numpy" % BACKEND_ENV)
-        return "numpy"
-    if choice:
-        warnings.warn("unknown backend %r; using default" % choice)
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-# ---------------------------------------------------------------------------
-# loop kernels (numba flavor; also runnable as plain python for reference)
-# ---------------------------------------------------------------------------
-
-
-def _axiom_flags_loops(tables, n):
-    count = tables.shape[0]
-    size = 1 << n
-    out = np.zeros((count, 5), np.uint8)
-    for s in range(count):
-        t = tables[s]
-
-        grounded = t[0] == 0
-
-        isotonic = True
-        for a in range(size):
-            ca = t[a]
-            for x in range(n):
-                bit = 1 << x
-                if a & bit != 0 and t[a ^ bit] & ~ca != 0:
-                    isotonic = False
-                    break
-            if not isotonic:
-                break
-
-        enlarging = True
-        for a in range(size):
-            if a & ~t[a] != 0:
-                enlarging = False
-                break
-
-        idempotent = True
-        for a in range(size):
-            if t[t[a]] != t[a]:
-                idempotent = False
-                break
-
-        sublinear = True
-        for a in range(size):
-            ta = t[a]
-            for b in range(a, size):
-                if t[a | b] & ~(ta | t[b]) != 0:
-                    sublinear = False
-                    break
-            if not sublinear:
-                break
-
-        out[s, 0] = 1 if grounded else 0
-        out[s, 1] = 1 if isotonic else 0
-        out[s, 2] = 1 if enlarging else 0
-        out[s, 3] = 1 if idempotent else 0
-        out[s, 4] = 1 if sublinear else 0
-    return out
-
-
-def _isotonic_all_pairs_loops(tables, n):
-    # definitional all-pairs isotonicity, the audit route for the fast test
-    count = tables.shape[0]
-    size = 1 << n
-    out = np.zeros(count, np.uint8)
-    for s in range(count):
-        t = tables[s]
-        iso = True
-        for b in range(size):
-            cb = t[b]
-            a = b
-            while True:
-                if t[a] & ~cb != 0:
-                    iso = False
-                    break
-                if a == 0:
-                    break
-                a = (a - 1) & b
-            if not iso:
-                break
-        out[s] = 1 if iso else 0
-    return out
-
-
-def _symmetry_flags_loops(tables, n):
-    count = tables.shape[0]
-    size = 1 << n
-    full = size - 1
-    out = np.zeros((count, 3), np.uint8)
-    for s in range(count):
-        t = tables[s]
-
-        pws = True
-        for x in range(n):
-            cx = t[1 << x]
-            for y in range(n):
-                if (t[1 << y] >> x) & 1 != 0 and (cx >> y) & 1 == 0:
-                    pws = False
-                    break
-            if not pws:
-                break
-
-        # r0 by the literal neighborhood quantifiers
-        r0 = True
-        for x in range(n):
-            for y in range(n):
-                hyp = True
-                for ns in range(size):
-                    inter = full ^ t[full ^ ns]
-                    if (inter >> y) & 1 != 0 and (ns >> x) & 1 == 0:
-                        hyp = False
-                        break
-                if not hyp:
-                    continue
-                concl = True
-                for ns in range(size):
-                    inter = full ^ t[full ^ ns]
-                    if (inter >> x) & 1 != 0 and (ns >> y) & 1 == 0:
-                        concl = False
-                        break
-                if not concl:
-                    r0 = False
-                    break
-            if not r0:
-                break
-
-        extsep = True
-        for a in range(size):
-            ext = full ^ t[a]
-            for x in range(n):
-                if (ext >> x) & 1 != 0 and t[1 << x] & a != 0:
-                    extsep = False
-                    break
-            if not extsep:
-                break
-
-        out[s, 0] = 1 if pws else 0
-        out[s, 1] = 1 if r0 else 0
-        out[s, 2] = 1 if extsep else 0
-    return out
-
-
-def _formula_flags_loops(tables, n):
-    # does cl(A) equal {x : {x} and A are not separated}, for every A?
-    count = tables.shape[0]
-    size = 1 << n
-    out = np.zeros(count, np.uint8)
-    for s in range(count):
-        t = tables[s]
-        ok = True
-        for a in range(size):
-            m = 0
-            for x in range(n):
-                if ((1 << x) & t[a]) != 0 or (t[1 << x] & a) != 0:
-                    m |= 1 << x
-            if m != t[a]:
-                ok = False
-                break
-        out[s] = 1 if ok else 0
-    return out
-
-
-def _criteria_flags_loops(tables, n):
-    # relation-level axiom criteria of each space's separated-pairs relation
-    count = tables.shape[0]
-    size = 1 << n
-    out = np.zeros((count, 4), np.uint8)
-    sep = np.empty((size, size), np.uint8)
-    nb = np.empty(size, np.int64)
-    for s in range(count):
-        t = tables[s]
-        for a in range(size):
-            ta = t[a]
-            for b in range(size):
-                if (a & t[b]) == 0 and (ta & b) == 0:
-                    sep[a, b] = 1
-                else:
-                    sep[a, b] = 0
-
-        grounded_crit = True
-        for x in range(n):
-            if sep[1 << x, 0] == 0:
-                grounded_crit = False
-                break
-
-        enlarging_crit = True
-        for a in range(size):
-            for b in range(a, size):
-                if sep[a, b] == 1 and (a & b) != 0:
-                    enlarging_crit = False
-                    break
-            if not enlarging_crit:
-                break
-
-        sublinear_crit = True
-        for a in range(size):
-            for b in range(size):
-                if sep[a, b] == 0:
-                    continue
-                for c in range(b, size):
-                    if sep[a, c] == 1 and sep[a, b | c] == 0:
-                        sublinear_crit = False
-                        break
-                if not sublinear_crit:
-                    break
-            if not sublinear_crit:
-                break
-
-        # nb[A] = {x : {x} and A not separated}; the sufficiency condition is
-        # "B inside nb[A] forces nb[B] inside nb[A]"
-        for a in range(size):
-            m = 0
-            for x in range(n):
-                if sep[1 << x, a] == 0:
-                    m |= 1 << x
-            nb[a] = m
-        idem_sufficient = True
-        for a in range(size):
-            na = nb[a]
-            for b in range(size):
-                if b & ~na == 0 and nb[b] & ~na != 0:
-                    idem_sufficient = False
-                    break
-            if not idem_sufficient:
-                break
-
-        out[s, 0] = 1 if grounded_crit else 0
-        out[s, 1] = 1 if enlarging_crit else 0
-        out[s, 2] = 1 if sublinear_crit else 0
-        out[s, 3] = 1 if idem_sufficient else 0
-    return out
-
-
-def _roundtrip_flags_loops(tables, n):
-    # does the space's separated-pairs relation pass both reconstruction
-    # conditions and rebuild the table exactly?
-    count = tables.shape[0]
-    size = 1 << n
-    out = np.zeros(count, np.uint8)
-    sep = np.empty((size, size), np.uint8)
-    nb = np.empty(size, np.int64)
-    for s in range(count):
-        t = tables[s]
-        for a in range(size):
-            ta = t[a]
-            for b in range(size):
-                if (a & t[b]) == 0 and (ta & b) == 0:
-                    sep[a, b] = 1
-                else:
-                    sep[a, b] = 0
-        for a in range(size):
-            m = 0
-            for x in range(n):
-                if sep[1 << x, a] == 0:
-                    m |= 1 << x
-            nb[a] = m
-
-        ok = True
-        for a in range(size):
-            if nb[a] != t[a]:
-                ok = False
-                break
-        if ok:  # condition 1: shrinking a member keeps the pair related
-            for b in range(size):
-                a = b
-                while True:
-                    for c in range(size):
-                        if sep[b, c] == 1 and sep[a, c] == 0:
-                            ok = False
-                            break
-                    if not ok or a == 0:
-                        break
-                    a = (a - 1) & b
-                if not ok:
-                    break
-        if ok:  # condition 2: singleton hypotheses force the pair
-            for a in range(size):
-                for b in range(a, size):
-                    if (a & nb[b]) == 0 and (b & nb[a]) == 0 and sep[a, b] == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        out[s] = 1 if ok else 0
-    return out
-
-
-def _map_flags_loops(tx_block, ty, imgs, pres, nx, ny):
-    # flags for every (domain space, codomain space, map) triple in the block
-    bx = tx_block.shape[0]
-    sy = ty.shape[0]
-    fcount = imgs.shape[0]
-    sizex = 1 << nx
-    sizey = 1 << ny
-    out = np.zeros((bx, sy, fcount, 4), np.uint8)
-    for fi in range(fcount):
-        im = imgs[fi]
-        pr = pres[fi]
-        for i in range(bx):
-            tx = tx_block[i]
-            for j in range(sy):
-                tyj = ty[j]
-
-                cp = True
-                for a in range(sizex):
-                    if im[tx[a]] & ~tyj[im[a]] != 0:
-                        cp = False
-                        break
-
-                cont = True
-                for b in range(sizey):
-                    if tx[pr[b]] & ~pr[tyj[b]] != 0:
-                        cont = False
-                        break
-
-                ns = True
-                for a in range(sizex):
-                    ia = im[a]
-                    for b in range(a, sizex):
-                        ib = im[b]
-                        if (ia & tyj[ib]) == 0 and (tyj[ia] & ib) == 0:
-                            if (a & tx[b]) != 0 or (tx[a] & b) != 0:
-                                ns = False
-                                break
-                    if not ns:
-                        break
-
-                presep = True
-                for c in range(sizey):
-                    for d in range(c, sizey):
-                        if (c & tyj[d]) == 0 and (tyj[c] & d) == 0:
-                            pc = pr[c]
-                            pd = pr[d]
-                            if (pc & tx[pd]) != 0 or (tx[pc] & pd) != 0:
-                                presep = False
-                                break
-                    if not presep:
-                        break
-
-                out[i, j, fi, 0] = 1 if cp else 0
-                out[i, j, fi, 1] = 1 if cont else 0
-                out[i, j, fi, 2] = 1 if ns else 0
-                out[i, j, fi, 3] = 1 if presep else 0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy kernels (vectorized over the instance axis)
-# ---------------------------------------------------------------------------
-
-
-def _axiom_flags_numpy(tables, n):
+def _axiom_flags(tables, n):
     count = tables.shape[0]
     size = 1 << n
 
@@ -428,7 +56,8 @@ def _axiom_flags_numpy(tables, n):
     )
 
 
-def _isotonic_all_pairs_numpy(tables, n):
+def _isotonic_all_pairs(tables, n):
+    # definitional all-pairs isotonicity, the audit route for the fast test
     size = 1 << n
     iso = np.ones(tables.shape[0], bool)
     for b in range(size):
@@ -442,7 +71,7 @@ def _isotonic_all_pairs_numpy(tables, n):
     return iso.astype(np.uint8)
 
 
-def _symmetry_flags_numpy(tables, n):
+def _symmetry_flags(tables, n):
     count = tables.shape[0]
     size = 1 << n
     full = size - 1
@@ -453,6 +82,7 @@ def _symmetry_flags_numpy(tables, n):
         for y in range(n):
             pws &= ~((((tables[:, 1 << y] >> x) & 1) == 1) & (((cx >> y) & 1) == 0))
 
+    # r0 by the literal neighborhood quantifiers
     # hyp[x][y]: x lies in every neighborhood of y
     hyp = np.empty((n, n, count), bool)
     for x in range(n):
@@ -477,7 +107,8 @@ def _symmetry_flags_numpy(tables, n):
     return np.stack([pws, r0, extsep], axis=1).astype(np.uint8)
 
 
-def _formula_flags_numpy(tables, n):
+def _formula_flags(tables, n):
+    # does cl(A) equal {x : {x} and A are not separated}, for every A?
     count = tables.shape[0]
     size = 1 << n
     ok = np.ones(count, bool)
@@ -502,7 +133,18 @@ def _sep_tensor(tables, size):
     return sep
 
 
-def _criteria_flags_numpy(tables, n):
+def _neighbourhoods(sep, n):
+    # nb[s, a]: the points x whose singleton is not separated from a, which
+    # is the closure of a that the separated pairs determine
+    count, size = sep.shape[0], sep.shape[1]
+    nb = np.zeros((count, size), np.int64)
+    for a in range(size):
+        for x in range(n):
+            nb[:, a] |= (~sep[:, 1 << x, a]).astype(np.int64) << x
+    return nb
+
+
+def _criteria_flags(tables, n):
     count = tables.shape[0]
     size = 1 << n
     sep = _sep_tensor(tables, size)
@@ -524,10 +166,8 @@ def _criteria_flags_numpy(tables, n):
             bad = sep[:, :, b] & sep[:, :, c] & ~sep[:, :, u]
             sublinear_crit &= ~bad.any(axis=1)
 
-    nb = np.zeros((count, size), np.int64)
-    for a in range(size):
-        for x in range(n):
-            nb[:, a] |= (~sep[:, 1 << x, a]).astype(np.int64) << x
+    # the sufficiency condition: B inside nb[A] forces nb[B] inside nb[A]
+    nb = _neighbourhoods(sep, n)
     idem_sufficient = np.ones(count, bool)
     for a in range(size):
         na = nb[:, a]
@@ -541,15 +181,13 @@ def _criteria_flags_numpy(tables, n):
     )
 
 
-def _roundtrip_flags_numpy(tables, n):
+def _roundtrip_flags(tables, n):
     count = tables.shape[0]
     size = 1 << n
     sep = _sep_tensor(tables, size)
-    nb = np.zeros((count, size), np.int64)
-    for a in range(size):
-        for x in range(n):
-            nb[:, a] |= (~sep[:, 1 << x, a]).astype(np.int64) << x
+    nb = _neighbourhoods(sep, n)
     ok = (nb == tables).all(axis=1)
+    # condition 1: shrinking a member keeps the pair related
     for b in range(size):
         a = b
         while True:
@@ -557,6 +195,7 @@ def _roundtrip_flags_numpy(tables, n):
             if a == 0:
                 break
             a = (a - 1) & b
+    # condition 2: singleton hypotheses force the pair
     for a in range(size):
         na = nb[:, a]
         for b in range(a, size):
@@ -565,7 +204,7 @@ def _roundtrip_flags_numpy(tables, n):
     return ok.astype(np.uint8)
 
 
-def _map_flags_numpy(tx_block, ty, imgs, pres, nx, ny):
+def _map_flags(tx_block, ty, imgs, pres, nx, ny):
     bx = tx_block.shape[0]
     sy = ty.shape[0]
     fcount = imgs.shape[0]
@@ -610,49 +249,20 @@ def _map_flags_numpy(tx_block, ty, imgs, pres, nx, ny):
     return np.stack([cp, cont, ns, presep], axis=-1).astype(np.uint8)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_LOOPS = {
-    "axiom_flags": _axiom_flags_loops,
-    "isotonic_all_pairs": _isotonic_all_pairs_loops,
-    "symmetry_flags": _symmetry_flags_loops,
-    "formula_flags": _formula_flags_loops,
-    "criteria_flags": _criteria_flags_loops,
-    "roundtrip_flags": _roundtrip_flags_loops,
-    "map_flags": _map_flags_loops,
+_KERNELS = {
+    "axiom_flags": _axiom_flags,
+    "isotonic_all_pairs": _isotonic_all_pairs,
+    "symmetry_flags": _symmetry_flags,
+    "formula_flags": _formula_flags,
+    "criteria_flags": _criteria_flags,
+    "roundtrip_flags": _roundtrip_flags,
+    "map_flags": _map_flags,
 }
 
-_NUMPY = {
-    "axiom_flags": _axiom_flags_numpy,
-    "isotonic_all_pairs": _isotonic_all_pairs_numpy,
-    "symmetry_flags": _symmetry_flags_numpy,
-    "formula_flags": _formula_flags_numpy,
-    "criteria_flags": _criteria_flags_numpy,
-    "roundtrip_flags": _roundtrip_flags_numpy,
-    "map_flags": _map_flags_numpy,
-}
 
-_jitted: dict[str, object] = {}
-
-
-def kernel(name: str, backend: str | None = None):
-    """Fetch a kernel by name for the active (or an explicit) backend."""
-    be = backend or BACKEND
-    if be == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        if name not in _jitted:
-            _jitted[name] = njit(cache=True, nogil=True)(_LOOPS[name])
-        return _jitted[name]
-    if be == "numpy":
-        return _NUMPY[name]
-    raise ValueError(f"unknown backend: {be}")
-
-
-def backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+def kernel(name: str):
+    """Fetch a kernel by name."""
+    return _KERNELS[name]
 
 
 def build_map_tables(fmaps: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:

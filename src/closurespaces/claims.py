@@ -41,7 +41,6 @@ from .enumeration import (
 from .maps import make_map
 from .separation import (
     ConditionsViolated,
-    check_relation_conditions,
     closure_from_relation,
     make_relation,
     separated_pairs,
@@ -56,6 +55,16 @@ _CHUNK = 1 << 14
 
 class UnknownClaim(ClosureSpaceError):
     """Claim id not present in the catalog."""
+
+
+class InvalidSweepArgument(ClosureSpaceError):
+    """Carrier size, budget or worker count below 1."""
+
+
+def _require_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise InvalidSweepArgument(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -654,15 +663,12 @@ def _verify_relation_claim(
 
     for pair_set in relations():
         rel = make_relation(g, pair_set)
-        conditions = check_relation_conditions(rel)
         try:
             rebuilt = closure_from_relation(rel)
-            succeeded = True
-        except ConditionsViolated:
-            rebuilt = None
-            succeeded = False
-        bad = succeeded != conditions.ok
-        if not bad and rebuilt is not None:
+        except ConditionsViolated as exc:
+            # reconstruction may fail only when a condition fails
+            bad = exc.report.ok
+        else:
             prof = axiom_profile(rebuilt)
             sym = symmetry_profile(rebuilt)
             bad = not (
@@ -689,9 +695,13 @@ def verify_claim(
     seed: int = 0,
     workers: int = 1,
 ) -> VerificationReport:
-    """Sweep one catalog claim over its universe at carrier size n."""
+    """Sweep one catalog claim over its universe at carrier size n.
+
+    Raises InvalidSweepArgument when n, budget or workers is below 1.
+    """
     if claim_id not in CATALOG:
         raise UnknownClaim(f"unknown claim id: {claim_id!r}")
+    _require_positive(n=n, budget=budget, workers=workers)
     claim = CATALOG[claim_id]
     start = time.perf_counter()
     if claim.kind == "space":
@@ -784,10 +794,12 @@ def hunt_counterexample(
     The witness is minimal for the documented order: carrier sizes ascending
     (for maps, by nx+ny then nx), then lexicographic domain table, codomain
     table, and assignment.  ``seed`` is accepted for interface symmetry with
-    verify_claim; the scan itself is deterministic.
+    verify_claim; the scan itself is deterministic.  Raises
+    InvalidSweepArgument when n_max is below 1.
     """
     if claim_id not in NEGATIVE_CATALOG:
         raise UnknownClaim(f"unknown negative claim id: {claim_id!r}")
+    _require_positive(n_max=n_max)
     neg = NEGATIVE_CATALOG[claim_id]
     if neg.kind == "space":
         return _hunt_spaces(neg, n_max, budget)

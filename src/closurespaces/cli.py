@@ -1,9 +1,10 @@
 """Command-line surface over the library.
 
 Exit codes: 0 success, 1 claim violations or failed reconstruction
-conditions, 2 malformed input or unknown claim/universe, 3 hunt exhausted
-its budget without a witness.  Stdout is byte-stable for fixed inputs and
-flags; timing chatter goes to stderr and is silenced by --quiet.
+conditions, 2 malformed input, unknown claim/universe, or a sweep argument
+below 1, 3 hunt exhausted its budget without a witness.  Stdout is
+byte-stable for fixed inputs and flags; timing chatter goes to stderr and is
+silenced by --quiet.
 """
 
 from __future__ import annotations

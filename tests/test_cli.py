@@ -135,3 +135,21 @@ def test_hunt_budget_exhausted_exits_3(capsys):
         main(["--quiet", "hunt", "--claim", "neg-pws-not-extsep", "--n", "2", "--budget", "0"])
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--claim", "cor-r0", "--n", "0"],
+        ["verify", "--claim", "cor-r0", "--n", "-1"],
+        ["verify", "--claim", "cor-r0", "--n", "2", "--budget", "0"],
+        ["verify", "--claim", "cor-r0", "--n", "2", "--budget", "-5"],
+        ["verify", "--claim", "cor-r0", "--n", "2", "--workers", "0"],
+        ["hunt", "--claim", "neg-pws-not-extsep", "--n", "0"],
+    ],
+)
+def test_out_of_range_sweep_arguments_exit_2(argv, capsys):
+    assert main(["--quiet", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err

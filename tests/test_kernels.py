@@ -1,49 +1,119 @@
-"""Backend equivalence: every kernel must agree between numba and numpy,
-and with the plain per-space library evaluation."""
+"""Every batch kernel must agree with the set-based oracles of
+tests/oracles.py, and with the plain per-space library evaluation."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import closurespaces as cs
+import oracles
 from closurespaces import _kernels, enumeration
-
-SPACE_KERNELS = [
-    "axiom_flags",
-    "isotonic_all_pairs",
-    "symmetry_flags",
-    "formula_flags",
-    "criteria_flags",
-    "roundtrip_flags",
-]
 
 
 def _universe(n):
     if n <= 2:
         size = 1 << n
         return enumeration.all_tables_block(n, 0, size**size)
-    return enumeration.sample_tables(n, "all", 400, seed=5)
+    # a sample of all tables holds almost no isotonic ones: add samples of
+    # the classes on which most flags hold, and copies of those with one
+    # closure bit flipped, which miss a property by a single entry
+    classes = ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated")
+    near = np.concatenate([enumeration.sample_tables(n, cls, 100, seed=5) for cls in classes])
+    flipped = near.copy()
+    rng = np.random.default_rng(5)
+    rows = np.arange(flipped.shape[0])
+    flipped[rows, rng.integers(0, 1 << n, rows.size)] ^= 1 << rng.integers(0, n, rows.size)
+    return np.concatenate([enumeration.sample_tables(n, "all", 400, seed=5), near, flipped])
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("name", SPACE_KERNELS)
+def _as_sets(row, n):
+    """(universe, closure dict) of one table row, elements labelled 0..n-1."""
+
+    def to_set(mask):
+        return frozenset(x for x in range(n) if (mask >> x) & 1)
+
+    return frozenset(range(n)), {to_set(a): to_set(int(row[a])) for a in range(1 << n)}
+
+
+def _axioms(u, cl):
+    return (
+        oracles.grounded(u, cl),
+        oracles.isotonic(u, cl),
+        oracles.enlarging(u, cl),
+        oracles.idempotent(u, cl),
+        oracles.sublinear(u, cl),
+    )
+
+
+def _symmetry(u, cl):
+    return (
+        oracles.pointwise_symmetric(u, cl),
+        oracles.r0(u, cl),
+        oracles.exterior_separated(u, cl),
+    )
+
+
+def _formula(u, cl):
+    return oracles.reconstructed_closure(u, oracles.separated_pairs(u, cl)) == cl
+
+
+def _criteria(u, cl):
+    return oracles.criteria(u, oracles.separated_pairs(u, cl))
+
+
+def _roundtrip(u, cl):
+    pairs = oracles.separated_pairs(u, cl)
+    return all(oracles.conditions(u, pairs)) and oracles.reconstructed_closure(u, pairs) == cl
+
+
+SPACE_ORACLES = {
+    "axiom_flags": _axioms,
+    "isotonic_all_pairs": oracles.isotonic,
+    "symmetry_flags": _symmetry,
+    "formula_flags": _formula,
+    "criteria_flags": _criteria,
+    "roundtrip_flags": _roundtrip,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_ORACLES))
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_space_kernels_backend_equivalence(name, n):
+def test_space_kernel_matches_oracle(name, n):
     tables = _universe(n)
-    got_numba = _kernels.kernel(name, "numba")(tables, n)
-    got_numpy = _kernels.kernel(name, "numpy")(tables, n)
-    assert np.array_equal(got_numba, got_numpy)
+    got = _kernels.kernel(name)(tables, n).reshape(tables.shape[0], -1)
+    for i in range(tables.shape[0]):
+        want = SPACE_ORACLES[name](*_as_sets(tables[i], n))
+        want = want if isinstance(want, tuple) else (want,)
+        assert tuple(bool(v) for v in got[i]) == want, (name, tables[i].tolist())
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
-def test_map_kernel_backend_equivalence(nx, ny):
-    tx = _universe(nx)[:40]
-    ty = _universe(ny)[:30]
+def test_map_kernel_matches_oracle(nx, ny):
+    rng = np.random.default_rng(7)
+    ux, uy = _universe(nx), _universe(ny)
+    tx = ux[rng.choice(ux.shape[0], size=min(ux.shape[0], 20), replace=False)]
+    ty = uy[rng.choice(uy.shape[0], size=min(uy.shape[0], 20), replace=False)]
     fmaps = enumeration.all_assignments(nx, ny)
     imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
-    got_numba = _kernels.kernel("map_flags", "numba")(tx, ty, imgs, pres, nx, ny)
-    got_numpy = _kernels.kernel("map_flags", "numpy")(tx, ty, imgs, pres, nx, ny)
-    assert np.array_equal(got_numba, got_numpy)
+    out = _kernels.kernel("map_flags")(tx, ty, imgs, pres, nx, ny)
+    xs = [_as_sets(row, nx) for row in tx]
+    ys = [_as_sets(row, ny) for row in ty]
+    for k in range(fmaps.shape[0]):
+        f = {x: int(fmaps[k, x]) for x in range(nx)}
+        for i, (ux_i, clx) in enumerate(xs):
+            for j, (uy_j, cly) in enumerate(ys):
+                sides = (ux_i, clx, uy_j, cly, f)
+                want = (
+                    oracles.closure_preserving(*sides),
+                    oracles.continuous(*sides),
+                    oracles.nonseparating(*sides),
+                    oracles.preimage_separation(*sides),
+                )
+                assert tuple(bool(v) for v in out[i, j, k]) == want
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -114,8 +184,20 @@ def test_map_kernel_matches_library_on_sample():
                 )
 
 
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv(_kernels.BACKEND_ENV, "numpy")
-    assert _kernels._pick_backend() == "numpy"
-    monkeypatch.delenv(_kernels.BACKEND_ENV)
-    assert _kernels._pick_backend() == ("numba" if _kernels.HAVE_NUMBA else "numpy")
+def test_sweeps_run_with_numba_unimportable():
+    code = (
+        "import sys\n"
+        "sys.modules['numba'] = None\n"
+        "from closurespaces.cli import main\n"
+        "sys.exit(main(['--quiet', 'verify', '--claim', 'cor-r0', '--n', '2']))\n"
+    )
+    src = str(Path(cs.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "claim=cor-r0 n=2 checked=256 violations=0 exhaustive=true\n"
