@@ -9,6 +9,12 @@ them.
 Tables arrive as int64 arrays of shape (count, 2**n); flag outputs are uint8
 with one row per instance.  Kernels are pure, so chunk sweeps may run on a
 thread pool.
+
+The relation kernels hold separated pairs in the row format of
+``separation.SeparationRelation``: an int64 array of shape (count, 2**n)
+whose bit b of ``rows[s, a]`` is set iff subsets a and b are separated in
+space s.  A row holds 2**n bits, so these kernels accept n <= MAX_ROW_N = 6;
+the sweeps stop at n = 4.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import numpy as np
 # perfbench records these and fails any run whose backend is not numpy.
 BACKEND = "numpy"
 HAVE_NUMBA = False
+
+# 2**6 = 64 bits, the width of an int64 separation row
+MAX_ROW_N = 6
 
 
 def _axiom_flags(tables, n):
@@ -122,58 +131,56 @@ def _formula_flags(tables, n):
     return ok.astype(np.uint8)
 
 
-def _sep_tensor(tables, size):
-    # sep[s, a, b]: subsets a and b separated in space s
-    count = tables.shape[0]
-    sep = np.empty((count, size, size), bool)
-    for a in range(size):
-        ta = tables[:, a]
-        for b in range(size):
-            sep[:, a, b] = ((a & tables[:, b]) == 0) & ((ta & b) == 0)
-    return sep
+def _pack(bits):
+    # bool (..., k) -> int64 (...): bit b of each word is bits[..., b]
+    weights = np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64)
+    return np.bitwise_or.reduce(bits * weights, axis=-1)
 
 
-def _neighbourhoods(sep, n):
-    # nb[s, a]: the points x whose singleton is not separated from a, which
-    # is the closure of a that the separated pairs determine
-    count, size = sep.shape[0], sep.shape[1]
-    nb = np.zeros((count, size), np.int64)
-    for a in range(size):
-        for x in range(n):
-            nb[:, a] |= (~sep[:, 1 << x, a]).astype(np.int64) << x
+def _separation_rows(tables, n):
+    # rows[s, a]: bit b set iff subsets a and b are separated in space s
+    if n > MAX_ROW_N:
+        raise ValueError(f"a separation row of 2**{n} bits does not fit an int64")
+    subsets = np.arange(1 << n)
+    rows = np.empty(tables.shape, np.int64)
+    for a in subsets:
+        rows[:, a] = _pack(((a & tables) == 0) & ((tables[:, a, None] & subsets) == 0))
+    return rows
+
+
+def _neighbourhoods(rows, n):
+    # nb[s, a] = {x : bit {x} of rows[s, a] clear}: the closure of a that the
+    # separated pairs determine
+    nb = np.zeros_like(rows)
+    for x in range(n):
+        nb |= (~rows >> (1 << x) & 1) << x
     return nb
 
 
 def _criteria_flags(tables, n):
     count = tables.shape[0]
-    size = 1 << n
-    sep = _sep_tensor(tables, size)
+    subsets = np.arange(1 << n)
+    rows = _separation_rows(tables, n)
+    nb = _neighbourhoods(rows, n)
 
-    grounded_crit = np.ones(count, bool)
-    for x in range(n):
-        grounded_crit &= sep[:, 1 << x, 0]
+    grounded_crit = nb[:, 0] == 0
 
-    enlarging_crit = np.ones(count, bool)
-    for a in range(size):
-        for b in range(a, size):
-            if a & b:
-                enlarging_crit &= ~sep[:, a, b]
+    # related pairs must be disjoint: no bit of rows[a] may name a set meeting a
+    meeting = _pack((subsets[:, None] & subsets) != 0)
+    enlarging_crit = ((rows & meeting) == 0).all(axis=1)
 
+    # whatever is related to b and to c is related to b | c
     sublinear_crit = np.ones(count, bool)
-    for b in range(size):
-        for c in range(b, size):
-            u = b | c
-            bad = sep[:, :, b] & sep[:, :, c] & ~sep[:, :, u]
-            sublinear_crit &= ~bad.any(axis=1)
+    for b in subsets:
+        for c in subsets[b:]:
+            sublinear_crit &= (rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0
 
-    # the sufficiency condition: B inside nb[A] forces nb[B] inside nb[A]
-    nb = _neighbourhoods(sep, n)
+    # the sufficiency condition: b inside nb[a] forces nb[b] inside nb[a]
     idem_sufficient = np.ones(count, bool)
-    for a in range(size):
-        na = nb[:, a]
-        for b in range(size):
-            inside = (b & ~na) == 0
-            idem_sufficient &= ~(inside & ((nb[:, b] & ~na) != 0))
+    for a in subsets:
+        outside = ~nb[:, a, None]
+        inside = (subsets & outside) == 0
+        idem_sufficient &= ~(inside & ((nb & outside) != 0)).any(axis=1)
 
     return (
         np.stack([grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient], axis=1)
@@ -182,25 +189,21 @@ def _criteria_flags(tables, n):
 
 
 def _roundtrip_flags(tables, n):
-    count = tables.shape[0]
-    size = 1 << n
-    sep = _sep_tensor(tables, size)
-    nb = _neighbourhoods(sep, n)
+    subsets = np.arange(1 << n)
+    rows = _separation_rows(tables, n)
+    nb = _neighbourhoods(rows, n)
     ok = (nb == tables).all(axis=1)
-    # condition 1: shrinking a member keeps the pair related
-    for b in range(size):
-        a = b
-        while True:
-            ok &= ~(sep[:, b, :] & ~sep[:, a, :]).any(axis=1)
-            if a == 0:
-                break
-            a = (a - 1) & b
-    # condition 2: singleton hypotheses force the pair
-    for a in range(size):
-        na = nb[:, a]
-        for b in range(a, size):
-            hyp = ((a & nb[:, b]) == 0) & ((b & na) == 0)
-            ok &= ~(hyp & ~sep[:, a, b])
+    # condition 1: rows[b] inside rows[a] for a ⊆ b; dropping one point at a
+    # time reaches every subset, so those pairs suffice
+    for b in subsets:
+        for x in range(n):
+            if b >> x & 1:
+                ok &= (rows[:, b] & ~rows[:, b ^ (1 << x)]) == 0
+    # condition 2: a ∩ nb[b] = ∅ and b ∩ nb[a] = ∅ force {a, b} related
+    for a in subsets:
+        hyp = ((a & nb) == 0) & ((subsets & nb[:, a, None]) == 0)
+        unrelated = (rows[:, a, None] >> subsets & 1) == 0
+        ok &= ~(hyp & unrelated).any(axis=1)
     return ok.astype(np.uint8)
 
 

@@ -32,6 +32,7 @@ from .core import (
     symmetry_profile,
 )
 from .enumeration import (
+    SAMPLE_MAX_N,
     UniverseTooLarge,
     all_assignments,
     all_tables_block,
@@ -41,6 +42,7 @@ from .enumeration import (
 from .maps import make_map
 from .separation import (
     ConditionsViolated,
+    SeparationRelation,
     closure_from_relation,
     make_relation,
     separated_pairs,
@@ -362,13 +364,18 @@ NEGATIVE_CATALOG: dict[str, NegativeClaim] = {
 # predicate evaluation over table chunks
 # ---------------------------------------------------------------------------
 
-_AXIOM_COLS = {"grounded": 0, "isotonic": 1, "enlarging": 2, "idempotent": 3, "sublinear": 4}
-_SYMMETRY_COLS = {"pointwise_symmetric": 0, "r0": 1, "exterior_separated": 2}
-_CRITERIA_COLS = {
-    "grounded_crit": 0,
-    "enlarging_crit": 1,
-    "sublinear_crit": 2,
-    "idempotent_sufficient": 3,
+# the predicates each kernel flags, in column order
+_KERNEL_FLAGS = {
+    "axiom_flags": ("grounded", "isotonic", "enlarging", "idempotent", "sublinear"),
+    "symmetry_flags": ("pointwise_symmetric", "r0", "exterior_separated"),
+    "criteria_flags": ("grounded_crit", "enlarging_crit", "sublinear_crit", "idempotent_sufficient"),
+    "formula_flags": ("reconstruction_formula",),
+    "roundtrip_flags": ("roundtrip_ok",),
+}
+_FLAG_COLUMNS = {
+    name: (kernel_name, column)
+    for kernel_name, names in _KERNEL_FLAGS.items()
+    for column, name in enumerate(names)
 }
 _MATCH_PAIRS = {
     "grounded_matches_criterion": ("grounded", "grounded_crit"),
@@ -390,38 +397,24 @@ class _SpaceColumns:
         self.tables = tables
         self.n = n
         self._cache: dict[str, np.ndarray] = {}
+        self._flags_by_kernel: dict[str, np.ndarray] = {}
 
-    def _axioms(self) -> np.ndarray:
-        if "_ax" not in self._cache:
-            self._cache["_ax"] = _kernels.kernel("axiom_flags")(self.tables, self.n)
-        return self._cache["_ax"]
-
-    def _symmetry(self) -> np.ndarray:
-        if "_sym" not in self._cache:
-            self._cache["_sym"] = _kernels.kernel("symmetry_flags")(self.tables, self.n)
-        return self._cache["_sym"]
-
-    def _criteria(self) -> np.ndarray:
-        if "_crit" not in self._cache:
-            self._cache["_crit"] = _kernels.kernel("criteria_flags")(self.tables, self.n)
-        return self._cache["_crit"]
+    def _flags(self, kernel_name: str) -> np.ndarray:
+        """One kernel's flags for the chunk, a column per flag, run once."""
+        if kernel_name not in self._flags_by_kernel:
+            flags = _kernels.kernel(kernel_name)(self.tables, self.n)
+            self._flags_by_kernel[kernel_name] = flags.reshape(self.tables.shape[0], -1)
+        return self._flags_by_kernel[kernel_name]
 
     def get(self, name: str) -> np.ndarray:
         if name in self._cache:
             return self._cache[name]
-        if name in _AXIOM_COLS:
-            col = self._axioms()[:, _AXIOM_COLS[name]] == 1
-        elif name in _SYMMETRY_COLS:
-            col = self._symmetry()[:, _SYMMETRY_COLS[name]] == 1
-        elif name in _CRITERIA_COLS:
-            col = self._criteria()[:, _CRITERIA_COLS[name]] == 1
+        if name in _FLAG_COLUMNS:
+            kernel_name, column = _FLAG_COLUMNS[name]
+            col = self._flags(kernel_name)[:, column] == 1
         elif name in _MATCH_PAIRS:
             ax_name, crit_name = _MATCH_PAIRS[name]
             col = self.get(ax_name) == self.get(crit_name)
-        elif name == "reconstruction_formula":
-            col = _kernels.kernel("formula_flags")(self.tables, self.n) == 1
-        elif name == "roundtrip_ok":
-            col = _kernels.kernel("roundtrip_flags")(self.tables, self.n) == 1
         elif name == "profile_consistent":
             col = self._profile_consistent()
         else:
@@ -432,9 +425,9 @@ class _SpaceColumns:
     def _profile_consistent(self) -> np.ndarray:
         # fast isotonicity against the all-pairs sweep, and the kernel flags
         # against the plain per-space library evaluation
-        ax = self._axioms()
-        sym = self._symmetry()
-        alldef = _kernels.kernel("isotonic_all_pairs")(self.tables, self.n)
+        ax = self._flags("axiom_flags")
+        sym = self._flags("symmetry_flags")
+        alldef = self._flags("isotonic_all_pairs")[:, 0]
         ok = ax[:, 1] == alldef
         g = ground(self.n)
         for i in range(self.tables.shape[0]):
@@ -561,6 +554,10 @@ def _map_hyp_columns(
 def _verify_map_claim(
     claim: Claim, n: int, budget: int, seed: int, workers: int
 ) -> VerificationReport:
+    if n > SAMPLE_MAX_N:
+        # no universe at such n is sampled or within reach of a full sweep,
+        # so fail before the n**n assignments are enumerated
+        raise UniverseTooLarge(f"map claims are limited to n <= {SAMPLE_MAX_N}, got {n}")
     cost = max(1, 4**n)
     fmaps = all_assignments(n, n)
     fcount = fmaps.shape[0]
@@ -636,11 +633,11 @@ def _verify_relation_claim(
     cost = max(1, 8**n)
     report = VerificationReport(claim.id, n, 0)
 
-    def relations() -> Iterable[frozenset]:
+    def relations() -> Iterable[SeparationRelation]:
         total = 1 << len(pairs)
         if total * cost <= budget:
             for bits in range(total):
-                yield frozenset(p for k, p in enumerate(pairs) if (bits >> k) & 1)
+                yield make_relation(g, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
         else:
             report.exhaustive = False
             rng = np.random.default_rng(seed)
@@ -649,20 +646,19 @@ def _verify_relation_claim(
             emitted = 0
             for row in derived:
                 sp = Space(g, tuple(int(v) for v in row))
-                rel = separated_pairs(sp).pairs
-                yield frozenset(rel)
+                rel = separated_pairs(sp)
+                yield rel
                 emitted += 1
                 if emitted >= count:
                     break
                 # mutate one pair so invalid relations are exercised too
                 flip = pairs[int(rng.integers(0, len(pairs)))]
-                yield frozenset(rel ^ {flip})
+                yield make_relation(g, rel.pairs ^ {flip})
                 emitted += 1
                 if emitted >= count:
                     break
 
-    for pair_set in relations():
-        rel = make_relation(g, pair_set)
+    for rel in relations():
         try:
             rebuilt = closure_from_relation(rel)
         except ConditionsViolated as exc:
@@ -674,7 +670,7 @@ def _verify_relation_claim(
             bad = not (
                 prof.isotonic
                 and sym.pointwise_symmetric
-                and separated_pairs(rebuilt).pairs == rel.pairs
+                and separated_pairs(rebuilt) == rel
             )
         if bad:
             report.total_violations += 1

@@ -1,9 +1,15 @@
 """Separation relations and reconstruction of closure tables from them.
 
-A separation relation is a set of unordered pairs of subsets.  Pairs are
-stored canonically as (lo, hi) with lo <= hi numerically; a pair may relate
-a subset to itself (the pair {∅, ∅} in particular is forced whenever the
-reconstruction conditions hold).
+A separation relation is a set of unordered pairs of subsets, stored as one
+bitmask row per subset: bit B of ``rows[A]`` is set iff {A, B} is related,
+so the rows are symmetric.  A pair may relate a subset to itself (the pair
+{∅, ∅} in particular is forced whenever the reconstruction conditions hold).
+Rows are Python integers of 2**n bits, so any carrier size fits; the batch
+kernels of ``_kernels`` use the same rows as int64 words.
+
+With this format the criteria are word operations (Knuth, TAOCP 4A §7.1.3):
+``nb[A]``, the points whose singleton is not related to A, is the closure of
+A that the relation determines, and the conditions compare rows and ``nb``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from .core import (
     GroundSet,
     MaskOutOfRange,
     Space,
-    are_separated,
     make_space,
 )
 
@@ -31,11 +36,21 @@ class ConditionsViolated(ClosureSpaceError):
 
 @dataclass(frozen=True)
 class SeparationRelation:
+    """Related pairs as symmetric bitmask rows, one row per subset."""
+
     ground: GroundSet
-    pairs: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The related pairs as canonical (lo, hi) tuples with lo <= hi."""
+        size = len(self.rows)
+        return frozenset(
+            (a, b) for a, row in enumerate(self.rows) for b in range(a, size) if row >> b & 1
+        )
 
     def contains(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs if a <= b else (b, a) in self.pairs
+        return bool(self.rows[a] >> b & 1)
 
 
 @dataclass(frozen=True)
@@ -59,65 +74,71 @@ class ConditionReport:
 
 
 def make_relation(gset: GroundSet, pairs: Iterable[tuple[int, int]]) -> SeparationRelation:
-    """Build a relation, canonicalizing each pair to (min, max)."""
-    canon = set()
+    """Build a relation from pairs given in either order."""
+    rows = [0] * gset.size
     for a, b in pairs:
         if not 0 <= a <= gset.full or not 0 <= b <= gset.full:
             raise MaskOutOfRange(f"relation pair out of range: ({a}, {b})")
-        canon.add((a, b) if a <= b else (b, a))
-    return SeparationRelation(gset, frozenset(canon))
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return SeparationRelation(gset, tuple(rows))
 
 
 def separated_pairs(space: Space) -> SeparationRelation:
     """The relation of all separated pairs of the space, pairs with A = B
-    included."""
-    size = space.ground.size
-    pairs = set()
-    for a in range(size):
-        for b in range(a, size):
-            if are_separated(space, a, b):
-                pairs.add((a, b))
-    return SeparationRelation(space.ground, frozenset(pairs))
+    included: A ∩ cl(B) = ∅ and cl(A) ∩ B = ∅."""
+    table = space.table
+    rows = tuple(
+        sum(1 << b for b, tb in enumerate(table) if not a & tb and not ta & b)
+        for a, ta in enumerate(table)
+    )
+    return SeparationRelation(space.ground, rows)
+
+
+def _neighbourhoods(rel: SeparationRelation) -> list[int]:
+    # nb[A] = {x : bit {x} of rows[A] clear}, the closure of A the relation
+    # determines
+    n = rel.ground.n
+    return [sum(1 << x for x in range(n) if not row >> (1 << x) & 1) for row in rel.rows]
+
+
+def _lowest_member(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def check_relation_conditions(rel: SeparationRelation) -> ConditionReport:
     """Check the two conditions a relation must satisfy to define a closure.
 
-    Condition 1: shrinking either member of a related pair keeps it related.
-    Condition 2: if every singleton of A is related to B and every singleton
-    of B is related to A, then {A, B} is related.  Both quantifiers include
-    the empty set, whose singleton hypotheses hold vacuously.
+    Condition 1: shrinking either member of a related pair keeps it related,
+    so rows[B] ⊆ rows[A] for A ⊆ B.  Condition 2: if every singleton of A is
+    related to B and every singleton of B is related to A, that is if
+    A ∩ nb[B] = ∅ and B ∩ nb[A] = ∅, then {A, B} is related.  Both
+    quantifiers include the empty set, whose singleton hypotheses hold
+    vacuously.
     """
-    size = rel.ground.size
-    n = rel.ground.n
+    rows = rel.rows
+    size = len(rows)
 
-    witness1 = None
-    for a in range(size):
-        for b in range(size):
-            if a & ~b:
-                continue
-            for c in range(size):
-                if rel.contains(b, c) and not rel.contains(a, c):
-                    witness1 = (a, b, c)
-                    break
-            if witness1 is not None:
-                break
-        if witness1 is not None:
-            break
+    witness1 = next(
+        (
+            (a, b, _lowest_member(rows[b] & ~rows[a]))
+            for a in range(size)
+            for b in range(size)
+            if not a & ~b and rows[b] & ~rows[a]
+        ),
+        None,
+    )
 
-    witness2 = None
-    for a in range(size):
-        for b in range(a, size):
-            if rel.contains(a, b):
-                continue
-            hyp = all(
-                rel.contains(1 << x, b) for x in range(n) if (a >> x) & 1
-            ) and all(rel.contains(1 << y, a) for y in range(n) if (b >> y) & 1)
-            if hyp:
-                witness2 = (a, b)
-                break
-        if witness2 is not None:
-            break
+    nb = _neighbourhoods(rel)
+    witness2 = next(
+        (
+            (a, b)
+            for a in range(size)
+            for b in range(a, size)
+            if not rows[a] >> b & 1 and not a & nb[b] and not b & nb[a]
+        ),
+        None,
+    )
 
     return ConditionReport(witness1 is None, witness2 is None, witness1, witness2)
 
@@ -131,15 +152,7 @@ def closure_from_relation(rel: SeparationRelation) -> Space:
     report = check_relation_conditions(rel)
     if not report.ok:
         raise ConditionsViolated(report)
-    n = rel.ground.n
-    table = []
-    for a in range(rel.ground.size):
-        m = 0
-        for x in range(n):
-            if not rel.contains(1 << x, a):
-                m |= 1 << x
-        table.append(m)
-    return make_space(rel.ground, table)
+    return make_space(rel.ground, _neighbourhoods(rel))
 
 
 @dataclass(frozen=True)
@@ -153,46 +166,27 @@ class RelationCriteria:
 
 
 def relation_axiom_criteria(rel: SeparationRelation) -> RelationCriteria:
-    """Evaluate the axiom criteria directly on the relation."""
-    size = rel.ground.size
-    n = rel.ground.n
+    """Evaluate the axiom criteria directly on the relation.
 
-    grounded_crit = all(rel.contains(1 << x, 0) for x in range(n))
+    Grounded: every singleton is related to ∅, so nb[∅] = ∅.  Enlarging:
+    related pairs are disjoint.  Sub-linear: whatever is related to B and
+    to C is related to B ∪ C.  Idempotence sufficiency: B ⊆ nb[A] forces
+    nb[B] ⊆ nb[A].
+    """
+    rows = rel.rows
+    size = len(rows)
+    nb = _neighbourhoods(rel)
 
-    enlarging_crit = all(a & b == 0 for a, b in rel.pairs)
-
-    sublinear_crit = True
-    for a in range(size):
-        for b in range(size):
-            if not rel.contains(a, b):
-                continue
-            for c in range(b, size):
-                if rel.contains(a, c) and not rel.contains(a, b | c):
-                    sublinear_crit = False
-                    break
-            if not sublinear_crit:
-                break
-        if not sublinear_crit:
-            break
-
-    idempotent_sufficient = True
-    for x in range(n):
-        sx = 1 << x
-        for b in range(size):
-            if rel.contains(sx, b):
-                continue
-            for a in range(size):
-                if not rel.contains(sx, a):
-                    continue
-                if all(
-                    not rel.contains(1 << y, a) for y in range(n) if (b >> y) & 1
-                ):
-                    idempotent_sufficient = False
-                    break
-            if not idempotent_sufficient:
-                break
-        if not idempotent_sufficient:
-            break
+    grounded_crit = nb[0] == 0
+    enlarging_crit = not any(
+        rows[a] >> b & 1 for a in range(size) for b in range(a, size) if a & b
+    )
+    sublinear_crit = not any(
+        rows[b] & rows[c] & ~rows[b | c] for b in range(size) for c in range(b, size)
+    )
+    idempotent_sufficient = not any(
+        nb[b] & ~nb[a] for a in range(size) for b in range(size) if not b & ~nb[a]
+    )
 
     return RelationCriteria(grounded_crit, enlarging_crit, sublinear_crit, idempotent_sufficient)
 

@@ -144,6 +144,34 @@ def conditions(universe, pairs):
     return cond1, cond2
 
 
+def first_witnesses(n, mask_pairs):
+    """The first condition-1 triple (A, B, C) and the first condition-2 pair
+    (A, B), or None, scanning masks in ascending order.  ``mask_pairs``
+    holds each related pair as a frozenset of one or two subset masks."""
+    size = 1 << n
+
+    def has(a, b):
+        return frozenset({a, b}) in mask_pairs
+
+    witness1 = None
+    for a in range(size):
+        for b in range(size):
+            for c in range(size):
+                if witness1 is None and a & ~b == 0 and has(b, c) and not has(a, c):
+                    witness1 = (a, b, c)
+
+    witness2 = None
+    for a in range(size):
+        for b in range(a, size):
+            hyp = all(has(1 << x, b) for x in range(n) if (a >> x) & 1) and all(
+                has(1 << y, a) for y in range(n) if (b >> y) & 1
+            )
+            if witness2 is None and hyp and not has(a, b):
+                witness2 = (a, b)
+
+    return witness1, witness2
+
+
 def reconstructed_closure(universe, pairs):
     def has(a, b):
         return frozenset({a, b}) in pairs

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import closurespaces as cs
-from closurespaces import formats
+from closurespaces import claims, formats
 from closurespaces.cli import main
 
 D2 = cs.make_space(cs.ground(2), [0, 1, 2, 3])
@@ -153,3 +153,14 @@ def test_out_of_range_sweep_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 1" in captured.err
+
+
+def test_map_claim_beyond_sampler_exits_2_before_enumerating(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("assignments enumerated before the size check")
+
+    monkeypatch.setattr(claims, "all_assignments", refuse)
+    assert main(["--quiet", "verify", "--claim", "thm-cp-cont", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limited to n <= 4" in captured.err

@@ -14,20 +14,28 @@ import oracles
 from closurespaces import _kernels, enumeration
 
 
-def _universe(n):
-    if n <= 2:
-        size = 1 << n
-        return enumeration.all_tables_block(n, 0, size**size)
-    # a sample of all tables holds almost no isotonic ones: add samples of
-    # the classes on which most flags hold, and copies of those with one
-    # closure bit flipped, which miss a property by a single entry
-    classes = ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated")
-    near = np.concatenate([enumeration.sample_tables(n, cls, 100, seed=5) for cls in classes])
+def _near(n, classes, count):
+    # samples of the classes on which most flags hold, and copies of those
+    # with one closure bit flipped, which miss a property by a single entry
+    near = np.concatenate([enumeration.sample_tables(n, cls, count, seed=5) for cls in classes])
     flipped = near.copy()
     rng = np.random.default_rng(5)
     rows = np.arange(flipped.shape[0])
     flipped[rows, rng.integers(0, 1 << n, rows.size)] ^= 1 << rng.integers(0, n, rows.size)
-    return np.concatenate([enumeration.sample_tables(n, "all", 400, seed=5), near, flipped])
+    return np.concatenate([near, flipped])
+
+
+def _universe(n):
+    if n <= 2:
+        size = 1 << n
+        return enumeration.all_tables_block(n, 0, size**size)
+    if n == 3:
+        # a sample of all tables holds almost no isotonic ones
+        classes = ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated")
+        alls = enumeration.sample_tables(n, "all", 400, seed=5)
+        return np.concatenate([alls, _near(n, classes, 100)])
+    # the classes whose n = 4 samples the sweeps feed to the relation kernels
+    return _near(n, ("isotonic_pointwise_symmetric", "exterior_separated"), 20)
 
 
 def _as_sets(row, n):
@@ -80,9 +88,13 @@ SPACE_ORACLES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SPACE_ORACLES))
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_space_kernel_matches_oracle(name, n):
+@pytest.mark.parametrize(
+    "n,name",
+    [(n, name) for n in (1, 2, 3) for name in sorted(SPACE_ORACLES)]
+    # separation rows use bits up to 15 at n = 4
+    + [(4, "criteria_flags"), (4, "roundtrip_flags")],
+)
+def test_space_kernel_matches_oracle(n, name):
     tables = _universe(n)
     got = _kernels.kernel(name)(tables, n).reshape(tables.shape[0], -1)
     for i in range(tables.shape[0]):

@@ -139,6 +139,41 @@ def test_relation_criteria_match_oracle(sp):
     ) == oracles.criteria(universe, pairs)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_relation_matches_oracles(n):
+    # all 2**(number of pairs) relations: 8 at n = 1, 1024 at n = 2
+    g = cs.ground(n)
+    size = g.size
+    universe = frozenset(range(n))
+    canonical = [(a, b) for a in range(size) for b in range(a, size)]
+
+    def to_set(mask):
+        return frozenset(x for x in range(n) if (mask >> x) & 1)
+
+    for bits in range(1 << len(canonical)):
+        chosen = [p for k, p in enumerate(canonical) if (bits >> k) & 1]
+        rel = cs.make_relation(g, chosen)
+        pairs = {frozenset({to_set(a), to_set(b)}) for a, b in chosen}
+        report = cs.check_relation_conditions(rel)
+        assert (report.condition1, report.condition2) == oracles.conditions(universe, pairs)
+        witnesses = oracles.first_witnesses(n, {frozenset(p) for p in chosen})
+        assert (report.witness1, report.witness2) == witnesses
+        crit = cs.relation_axiom_criteria(rel)
+        assert (
+            crit.grounded_crit,
+            crit.enlarging_crit,
+            crit.sublinear_crit,
+            crit.idempotent_sufficient,
+        ) == oracles.criteria(universe, pairs)
+        if not report.ok:
+            with pytest.raises(cs.ConditionsViolated):
+                cs.closure_from_relation(rel)
+            continue
+        rebuilt = cs.closure_from_relation(rel)
+        expected = oracles.reconstructed_closure(universe, pairs)
+        assert {to_set(a): to_set(c) for a, c in enumerate(rebuilt.table)} == expected
+
+
 def test_separated_pairs_downward_closed_on_isotonic_spaces():
     # shrinking either member of a separated pair keeps it separated
     for sp in cs.enumerate_spaces(2, "isotonic"):
