@@ -473,16 +473,16 @@ def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _class_tables(n: int, cls: str, table_budget: int, seed: int) -> tuple[np.ndarray, bool]:
-    """Materialize a class universe, falling back to a seeded sample."""
+def _class_chunks(
+    n: int, cls: str, table_budget: int, seed: int
+) -> tuple[list[np.ndarray], bool]:
+    """The class universe in chunks and True, or a seeded sample of it in
+    chunks and False when the universe is over the table budget."""
     try:
-        chunks = list(iter_table_chunks(n, cls, budget=table_budget))
-        if chunks:
-            return np.concatenate(chunks), True
-        return np.empty((0, 1 << n), np.int64), True
+        return list(iter_table_chunks(n, cls, budget=table_budget, chunk_size=_CHUNK)), True
     except UniverseTooLarge:
-        count = min(table_budget, SAMPLE_CAP)
-        return sample_tables(n, cls, count, seed), False
+        tables = sample_tables(n, cls, min(table_budget, SAMPLE_CAP), seed)
+        return [tables[i : i + _CHUNK] for i in range(0, tables.shape[0], _CHUNK)], False
 
 
 def _verify_space_claim(
@@ -497,14 +497,7 @@ def _verify_space_claim(
         groups.setdefault(impl.universe, []).append(impl)
 
     for gi, (universe, impls) in enumerate(groups.items()):
-        try:
-            chunks = list(iter_table_chunks(n, universe, budget=table_budget, chunk_size=_CHUNK))
-            exhaustive = True
-        except UniverseTooLarge:
-            count = min(table_budget, SAMPLE_CAP)
-            tables = sample_tables(n, universe, count, seed + gi)
-            chunks = [tables[i : i + _CHUNK] for i in range(0, tables.shape[0], _CHUNK)]
-            exhaustive = False
+        chunks, exhaustive = _class_chunks(n, universe, table_budget, seed + gi)
 
         def eval_chunk(tables: np.ndarray) -> tuple[int, int, list[dict]]:
             cols = _SpaceColumns(tables, n)
@@ -570,8 +563,9 @@ def _verify_map_claim(
 
     for gi, ((cls_x, cls_y), impls) in enumerate(groups.items()):
         table_budget = max(1, budget // cost)
-        tx, ex_x = _class_tables(n, cls_x, table_budget, seed + 101 * gi)
-        ty, ex_y = _class_tables(n, cls_y, table_budget, seed + 101 * gi + 1)
+        x_chunks, ex_x = _class_chunks(n, cls_x, table_budget, seed + 101 * gi)
+        y_chunks, ex_y = _class_chunks(n, cls_y, table_budget, seed + 101 * gi + 1)
+        tx, ty = np.concatenate(x_chunks), np.concatenate(y_chunks)
         exhaustive = ex_x and ex_y
 
         instances = tx.shape[0] * ty.shape[0] * fcount

@@ -215,11 +215,11 @@ def axiom_profile_by_definition(space: Space) -> AxiomProfile:
     return AxiomProfile(fast.grounded, isotonic, fast.enlarging, fast.idempotent, fast.sublinear)
 
 
-def _in_every_neighborhood(space: Space, x: int, y: int) -> bool:
+def _in_every_neighborhood(interiors: list[int], x: int, y: int) -> bool:
     """True iff x belongs to every neighborhood of y (vacuously true when y
-    has no neighborhoods)."""
-    for n_set in range(space.ground.size):
-        if is_neighborhood(space, n_set, y) and not (n_set >> x) & 1:
+    has no neighborhoods); ``interiors[N]`` is int(N)."""
+    for n_set, inner in enumerate(interiors):
+        if (inner >> y) & 1 and not (n_set >> x) & 1:
             return False
     return True
 
@@ -233,6 +233,7 @@ def symmetry_profile(space: Space) -> SymmetryProfile:
     t = space.table
     n = space.ground.n
     size = space.ground.size
+    full = space.ground.full
 
     pointwise_symmetric = True
     for x in range(n):
@@ -244,10 +245,13 @@ def symmetry_profile(space: Space) -> SymmetryProfile:
         if not pointwise_symmetric:
             break
 
+    interiors = [full ^ t[full ^ n_set] for n_set in range(size)]
     r0 = True
     for x in range(n):
         for y in range(n):
-            if _in_every_neighborhood(space, x, y) and not _in_every_neighborhood(space, y, x):
+            if _in_every_neighborhood(interiors, x, y) and not _in_every_neighborhood(
+                interiors, y, x
+            ):
                 r0 = False
                 break
         if not r0:
@@ -255,7 +259,7 @@ def symmetry_profile(space: Space) -> SymmetryProfile:
 
     exterior_separated = True
     for a in range(size):
-        ext = space.ground.full ^ t[a]
+        ext = full ^ t[a]
         for x in range(n):
             if (ext >> x) & 1 and not are_separated(space, 1 << x, a):
                 exterior_separated = False

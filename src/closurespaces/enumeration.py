@@ -1,15 +1,25 @@
 """Exhaustive and sampled generators for spaces and maps at desk scale.
 
 Exhaustive streams are deterministic and lexicographic over table entries
-(entry for subset 0 most significant).  Two classes avoid filtering the full
-(2**n)**(2**n) universe:
+(entry for subset 0 most significant).  Two class families avoid filtering the
+full (2**n)**(2**n) universe.  Each family has one vectorized assembler, shared
+by its exhaustive stream, its seeded sampler and its class count; only the
+source of the parameters differs (every combination, or seeded draws):
 
 * isotonic tables factor into one upward-closed family of subsets per output
-  bit, so the stream is a product over precomputed up-sets;
+  bit.  :func:`_isotonic_rows` builds tables from one up-set pick per bit.
+  The enlarging isotonic tables are the picks, for bit x, among the up-sets
+  that contain {x}.
 * exterior-separated tables are exactly those whose singleton rows form a
   symmetric matrix R and whose entry for each A contains the forced mask
-  {x : R(x) meets A}, so the stream is a product over symmetric matrices and
-  arbitrary extra bits.
+  {x : R(x) meets A}.  :func:`_matrix_rows` turns matrix bits into the rows R
+  and :func:`_forced` gives the forced masks; the stream adds every
+  combination of extra bits, the sampler one uniform draw per entry.
+
+The isotonic samplers draw one pick per output bit, so a seed always selects
+the same tables.  The exterior-separated sampler draws all matrix bits in one
+call and then all extra bits in one call.  Its distribution is that of the
+earlier per-table draws, but a seed now selects different tables.
 
 Both constructions are cross-checked against filter-based oracles in the
 test suite.
@@ -72,16 +82,15 @@ def upset_families(n: int) -> tuple[int, ...]:
     return tuple(int(f) for f in fams[ok])
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    out.reverse()  # ascending
-    return out
+def _isotonic_rows(fams, picks: np.ndarray, n: int) -> np.ndarray:
+    """One table per row of ``picks``: bit j of entry A is set iff A belongs
+    to the up-set ``fams[j][picks[:, j]]``."""
+    subsets = np.arange(1 << n)
+    rows = np.zeros((picks.shape[0], 1 << n), np.int64)
+    for j in range(n):
+        chosen = np.asarray(fams[j], np.int64)[picks[:, j]]
+        rows |= ((chosen[:, None] >> subsets) & 1) << j
+    return rows
 
 
 @lru_cache(maxsize=8)
@@ -89,49 +98,65 @@ def isotonic_tables(n: int) -> np.ndarray:
     """All isotonic tables on n elements, lexicographic, as an int64 array."""
     if n > 3:
         raise UniverseTooLarge(f"isotonic enumeration is limited to n <= 3, got {n}")
-    size = 1 << n
     fams = upset_families(n)
-    rows = np.empty((len(fams) ** n, size), np.int64)
-    i = 0
-    for combo in itertools.product(fams, repeat=n):
-        for a in range(size):
-            m = 0
-            for j in range(n):
-                m |= ((combo[j] >> a) & 1) << j
-            rows[i, a] = m
-        i += 1
+    picks = np.indices((len(fams),) * n).reshape(n, -1).T
+    rows = _isotonic_rows((fams,) * n, picks, n)
     ordered = rows[np.lexsort(rows.T[::-1])]
     ordered.setflags(write=False)  # cached and shared; callers must not mutate
     return ordered
 
 
-def _symmetric_matrices(n: int) -> Iterator[tuple[int, ...]]:
-    """All symmetric boolean matrices as per-element row masks, diagonal free."""
-    slots = [(x, y) for x in range(n) for y in range(x, n)]
-    for bits in range(1 << len(slots)):
-        rows = [0] * n
-        for k, (x, y) in enumerate(slots):
-            if (bits >> k) & 1:
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-        yield tuple(rows)
+def _matrix_count(n: int) -> int:
+    """Number of symmetric boolean n x n matrices (diagonal free)."""
+    return 1 << (n * (n + 1) // 2)
+
+
+def _matrix_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """(count, n) per-element row masks of symmetric boolean matrices; bit k
+    of ``bits`` fills the k-th slot (x, y), x <= y, in row-major order."""
+    rows = np.zeros((bits.shape[0], n), np.int64)
+    for k, (x, y) in enumerate(itertools.combinations_with_replacement(range(n), 2)):
+        bit = (bits >> k) & 1
+        rows[:, x] |= bit << y
+        rows[:, y] |= bit << x
+    return rows
+
+
+def _forced(rows: np.ndarray, n: int) -> np.ndarray:
+    """(count, 2**n) forced masks {x : rows[x] meets A}; by symmetry the mask
+    of a singleton {x} is row x itself."""
+    subsets = np.arange(1 << n)
+    forced = np.zeros((rows.shape[0], 1 << n), np.int64)
+    for x in range(n):
+        forced |= ((rows[:, x, None] & subsets) != 0).astype(np.int64) << x
+    return forced
+
+
+def _free_entries(n: int) -> list[int]:
+    """Subsets whose entry may hold extra bits: all but the singletons,
+    whose entries the matrix fixes."""
+    return [a for a in range(1 << n) if a & (a - 1) or a == 0]
+
+
+_MATRIX_BATCH = 1 << 14
 
 
 def extsep_count(n: int) -> int:
-    """Exact number of exterior-separated tables on n elements."""
-    size = 1 << n
+    """Exact number of exterior-separated tables on n elements.
+
+    Each symmetric matrix contributes 2**k tables, k being the number of bits
+    outside the forced masks of its free entries.  Matrices go in batches, so
+    the working set stays at (batch, 2**n) entries for every n.
+    """
+    full = (1 << n) - 1
+    popcount = np.array([bin(m).count("1") for m in range(1 << n)])
+    free = _free_entries(n)
     total = 0
-    for rows in _symmetric_matrices(n):
-        prod = 1
-        for a in range(size):
-            if a and a & (a - 1) == 0:
-                continue  # singleton entries are fixed by the matrix
-            forced = 0
-            for x in range(n):
-                if rows[x] & a:
-                    forced |= 1 << x
-            prod *= 1 << (n - bin(forced).count("1"))
-        total += prod
+    for start in range(0, _matrix_count(n), _MATRIX_BATCH):
+        bits = np.arange(start, min(start + _MATRIX_BATCH, _matrix_count(n)))
+        forced = _forced(_matrix_rows(bits, n), n)
+        free_bits = popcount[full ^ forced[:, free]].sum(axis=1)
+        total += sum(int(c) << f for f, c in enumerate(np.bincount(free_bits)))
     return total
 
 
@@ -144,28 +169,22 @@ def extsep_tables(n: int) -> np.ndarray:
         )
     size = 1 << n
     full = size - 1
-    out = []
-    base = [0] * size
-    for rows in _symmetric_matrices(n):
-        for x in range(n):
-            base[1 << x] = rows[x]
-        free_slots = []
-        for a in range(size):
-            if a and a & (a - 1) == 0:
-                continue
-            forced = 0
-            for x in range(n):
-                if rows[x] & a:
-                    forced |= 1 << x
-            base[a] = forced
-            free_slots.append((a, _submasks(full ^ forced)))
-        for extras in itertools.product(*(subs for _, subs in free_slots)):
-            row = list(base)
-            for (a, _), extra in zip(free_slots, extras):
-                row[a] |= extra
-            out.append(row)
-    rows_arr = np.array(out, np.int64)
-    ordered = rows_arr[np.lexsort(rows_arr.T[::-1])]
+    # by_rank[f, d] is the d-th submask of f in ascending order
+    by_rank = np.zeros((size, size), np.int64)
+    choices = np.zeros(size, np.int64)
+    for f in range(size):
+        subs = [s for s in range(size) if s & ~f == 0]
+        by_rank[f, : len(subs)] = subs
+        choices[f] = len(subs)
+    tables = _forced(_matrix_rows(np.arange(_matrix_count(n)), n), n)
+    for a in _free_entries(n):
+        # one copy of each table per choice of extra bits at entry a
+        free = full ^ tables[:, a]
+        reps = choices[free]
+        tables = np.repeat(tables, reps, axis=0)
+        rank = np.arange(tables.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+        tables[:, a] |= by_rank[np.repeat(free, reps), rank]
+    ordered = tables[np.lexsort(tables.T[::-1])]
     ordered.setflags(write=False)  # cached and shared; callers must not mutate
     return ordered
 
@@ -218,31 +237,30 @@ def iter_table_chunks(
             yield all_tables_block(n, start, min(start + chunk_size, total))
         return
 
+    # the generated families stop at n = 3; refuse before counting them
+    if n > 3:
+        raise UniverseTooLarge(f"class {cls!r} enumeration is limited to n <= 3, got {n}")
+
     if cls == "exterior_separated":
         total = extsep_count(n)
-        if n > 3 or total > limit:
+        if total > limit:
             raise UniverseTooLarge(
                 f"class 'exterior_separated' at n={n} has {total} tables, "
                 f"over the budget of {limit}"
             )
         tables = extsep_tables(n)
-        for start in range(0, tables.shape[0], chunk_size):
-            yield tables[start : start + chunk_size]
-        return
-
-    # remaining classes are the isotonic family
-    base_total = class_size(n, "isotonic") if n <= 3 else None
-    if n > 3 or base_total > limit:
-        raise UniverseTooLarge(
-            f"isotonic base universe at n={n} exceeds the budget of {limit}"
-        )
-    tables = isotonic_tables(n)
-    if cls == "isotonic_pointwise_symmetric":
-        flags = _kernels.kernel("symmetry_flags")(tables, n)
-        tables = tables[flags[:, 0] == 1]
-    elif cls == "enlarging_isotonic":
-        flags = _kernels.kernel("axiom_flags")(tables, n)
-        tables = tables[flags[:, 2] == 1]
+    else:  # the isotonic family
+        if class_size(n, "isotonic") > limit:
+            raise UniverseTooLarge(
+                f"isotonic base universe at n={n} exceeds the budget of {limit}"
+            )
+        tables = isotonic_tables(n)
+        if cls == "isotonic_pointwise_symmetric":
+            flags = _kernels.kernel("symmetry_flags")(tables, n)
+            tables = tables[flags[:, 0] == 1]
+        elif cls == "enlarging_isotonic":
+            flags = _kernels.kernel("axiom_flags")(tables, n)
+            tables = tables[flags[:, 2] == 1]
     for start in range(0, tables.shape[0], chunk_size):
         yield tables[start : start + chunk_size]
 
@@ -269,7 +287,6 @@ def enumerate_spaces(
 
 def _sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
     size = 1 << n
-    full = size - 1
     rng = np.random.default_rng(seed)
 
     if cls == "all":
@@ -278,14 +295,7 @@ def _sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
     if cls == "isotonic":
         fams = upset_families(n)
         picks = rng.integers(0, len(fams), size=(count, n))
-        rows = np.zeros((count, size), np.int64)
-        for i in range(count):
-            for a in range(size):
-                m = 0
-                for j in range(n):
-                    m |= ((fams[picks[i, j]] >> a) & 1) << j
-                rows[i, a] = m
-        return rows
+        return _isotonic_rows((fams,) * n, picks, n)
 
     if cls == "isotonic_pointwise_symmetric":
         # rejection from the isotonic sampler, checked definitionally
@@ -305,57 +315,23 @@ def _sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
         return rows
 
     if cls == "enlarging_isotonic":
-        # per output bit x: the family must contain every subset with x, and
-        # restrict to an up-set on the subsets without x
-        sub_fams = upset_families(n - 1)
-        without_x = [[a for a in range(size) if not (a >> x) & 1] for x in range(n)]
-        picks = rng.integers(0, len(sub_fams), size=(count, n))
-        rows = np.zeros((count, size), np.int64)
-        for i in range(count):
-            for x in range(n):
-                fam = sub_fams[picks[i, x]]
-                for k, a in enumerate(without_x[x]):
-                    if (fam >> k) & 1:
-                        rows[i, a] |= 1 << x
-            for a in range(size):
-                rows[i, a] |= a  # enlarging: every entry contains its subset
-        return rows
+        # the family of bit x must contain {x}, hence every subset with x;
+        # these up-sets are in the order of the up-sets of the n - 1 other
+        # elements they restrict to
+        fams = [tuple(f for f in upset_families(n) if (f >> (1 << x)) & 1) for x in range(n)]
+        picks = rng.integers(0, len(fams[0]), size=(count, n))
+        return _isotonic_rows(fams, picks, n)
 
-    if cls == "exterior_separated":
-        slots = [(x, y) for x in range(n) for y in range(x, n)]
-        rows = np.zeros((count, size), np.int64)
-        for i in range(count):
-            bits = int(rng.integers(0, 1 << len(slots)))
-            r = [0] * n
-            for k, (x, y) in enumerate(slots):
-                if (bits >> k) & 1:
-                    r[x] |= 1 << y
-                    r[y] |= 1 << x
-            for a in range(size):
-                if a and a & (a - 1) == 0:
-                    rows[i, a] = r[_bit_index(a)]
-                    continue
-                forced = 0
-                for x in range(n):
-                    if r[x] & a:
-                        forced |= 1 << x
-                extra = int(rng.integers(0, full + 1)) & (full ^ forced)
-                rows[i, a] = forced | extra
-        return rows
-
-    raise UnknownClass(f"unknown generator class: {cls!r}")
-
-
-def _bit_index(mask: int) -> int:
-    return mask.bit_length() - 1
+    # remaining class: exterior_separated
+    forced = _forced(_matrix_rows(rng.integers(0, _matrix_count(n), size=count), n), n)
+    extra = rng.integers(0, size, size=(count, size), dtype=np.int64)
+    extra[:, [1 << x for x in range(n)]] = 0  # singleton entries are fixed
+    return forced | extra
 
 
 def sample_spaces(n: int, cls: str, count: int, seed: int) -> Iterator[Space]:
     """Exactly ``count`` class members, deterministic for a fixed seed."""
-    _check_class(cls)
-    if n > SAMPLE_MAX_N:
-        raise UniverseTooLarge(f"sampling is limited to n <= {SAMPLE_MAX_N}, got {n}")
-    yield from spaces_from_tables(n, _sample_tables(n, cls, count, seed))
+    yield from spaces_from_tables(n, sample_tables(n, cls, count, seed))
 
 
 def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:

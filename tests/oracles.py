@@ -8,6 +8,8 @@ through these functions.
 
 from itertools import combinations
 
+import numpy as np
+
 
 def powerset(universe):
     els = sorted(universe)
@@ -23,6 +25,15 @@ def from_space(space):
 
     cl = {to_set(m): to_set(space.table[m]) for m in range(space.ground.size)}
     return frozenset(labels), cl
+
+
+def from_table(n, table):
+    """(universe, closure dict) view of a bare table, elements 0..n-1."""
+
+    def to_set(mask):
+        return frozenset(i for i in range(n) if (mask >> i) & 1)
+
+    return frozenset(range(n)), {to_set(m): to_set(v) for m, v in enumerate(table)}
 
 
 def mask_to_set(space, mask):
@@ -217,6 +228,88 @@ def criteria(universe, pairs):
                     idem_sufficient = False
 
     return grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient
+
+
+def exterior_separated_count(n):
+    """Exterior-separated tables on {0..n-1}, counted one symmetric relation
+    R at a time: the singleton entries are the rows of R, and every other
+    entry A holds {x : R(x) meets A} plus any of the remaining elements."""
+    universe = frozenset(range(n))
+    slots = [(x, y) for x in range(n) for y in range(x, n)]
+    total = 0
+    for chosen in powerset(slots):
+        related = {(x, y) for x, y in chosen} | {(y, x) for x, y in chosen}
+        count = 1
+        for a in powerset(universe):
+            if len(a) == 1:
+                continue
+            forced = {x for x in universe if any((x, y) in related for y in a)}
+            count *= 2 ** (n - len(forced))
+        total += count
+    return total
+
+
+# --- seeded samples ----------------------------------------------------------
+#
+# One table at a time, from the same draws as the package's samplers, so a
+# seed keeps selecting the same tables.  The only numpy use in this module is
+# the random generator.
+
+
+def upset_families(n):
+    """Up-closed families of subsets of {0..n-1}, each as a bitmask over the
+    subset masks (bit m set: subset m belongs), ascending."""
+    ps = powerset(range(n))
+    mask = {s: sum(1 << i for i in s) for s in ps}
+    out = []
+    for bits in range(1 << len(ps)):
+        fam = [s for s in ps if (bits >> mask[s]) & 1]
+        if all(t in fam for s in fam for t in ps if s <= t):
+            out.append(bits)
+    return out
+
+
+def isotonic_sample(n, count, seed):
+    """Bit j of entry A is set iff A lies in the up-set picked for j."""
+    fams = upset_families(n)
+    picks = np.random.default_rng(seed).integers(0, len(fams), size=(count, n))
+    return [
+        [sum(1 << j for j in range(n) if (fams[p[j]] >> a) & 1) for a in range(1 << n)]
+        for p in picks
+    ]
+
+
+def enlarging_isotonic_sample(n, count, seed):
+    """Bit x of entry A is set iff x is in A, or A lies in the up-set picked
+    for x among the subsets without x; the k-th of those, ascending, is
+    subset k of the other n - 1 elements."""
+    fams = upset_families(n - 1)
+    picks = np.random.default_rng(seed).integers(0, len(fams), size=(count, n))
+    tables = []
+    for p in picks:
+        table = []
+        for a in range(1 << n):
+            entry = 0
+            for x in range(n):
+                without_x = [b for b in range(1 << n) if not (b >> x) & 1]
+                if (a >> x) & 1 or (fams[p[x]] >> without_x.index(a)) & 1:
+                    entry |= 1 << x
+            table.append(entry)
+        tables.append(table)
+    return tables
+
+
+def isotonic_pointwise_symmetric_sample(n, count, seed):
+    """Rejection from isotonic_sample: batches of max(count, 64) tables drawn
+    with seeds seed + 7919 * attempt, pointwise-symmetric ones kept in order."""
+    kept = []
+    attempt = 0
+    while len(kept) < count:
+        for table in isotonic_sample(n, max(count, 64), seed + 7919 * attempt):
+            if pointwise_symmetric(*from_table(n, table)):
+                kept.append(table)
+        attempt += 1
+    return kept[:count]
 
 
 # --- maps -------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or plain ``pytest``; the
 lines then show only for failures).  Timing bounds are enforced on the sweep
-itself; the session fixture warms the jit cache first so compilation is not
-billed to any criterion.
+itself; the module fixture first runs every kernel once, so one-time costs
+such as imports are not billed to any criterion.
 """
 
 import itertools

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import closurespaces as cs
-from closurespaces import claims, formats
+from closurespaces import claims, enumeration, formats
 from closurespaces.cli import main
 
 D2 = cs.make_space(cs.ground(2), [0, 1, 2, 3])
@@ -161,6 +161,22 @@ def test_map_claim_beyond_sampler_exits_2_before_enumerating(monkeypatch, capsys
 
     monkeypatch.setattr(claims, "all_assignments", refuse)
     assert main(["--quiet", "verify", "--claim", "thm-cp-cont", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limited to n <= 4" in captured.err
+
+
+@pytest.mark.parametrize("claim_id", ["thm-clthm-formula", "thm-crit-grounded"])
+def test_space_claim_beyond_enumeration_exits_2_before_counting(monkeypatch, capsys, claim_id):
+    count = enumeration.extsep_count
+
+    def refuse(n):
+        if n > 3:
+            raise AssertionError("exterior-separated tables counted before the size check")
+        return count(n)
+
+    monkeypatch.setattr(enumeration, "extsep_count", refuse)
+    assert main(["--quiet", "verify", "--claim", claim_id, "--n", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "limited to n <= 4" in captured.err

@@ -133,8 +133,7 @@ def test_fast_isotonic_matches_definitional(sp):
     assert cs.axiom_profile(sp) == cs.axiom_profile_by_definition(sp)
 
 
-@given(spaces())
-def test_profiles_match_oracle(sp):
+def _assert_profiles_match_oracle(sp):
     universe, cl = oracles.from_space(sp)
     prof = cs.axiom_profile(sp)
     assert prof.isotonic == oracles.isotonic(universe, cl)
@@ -143,6 +142,18 @@ def test_profiles_match_oracle(sp):
     assert sym.pointwise_symmetric == oracles.pointwise_symmetric(universe, cl)
     assert sym.r0 == oracles.r0(universe, cl)
     assert sym.exterior_separated == oracles.exterior_separated(universe, cl)
+
+
+@given(spaces())
+def test_profiles_match_oracle(sp):
+    _assert_profiles_match_oracle(sp)
+
+
+def test_profiles_match_oracle_on_every_table_up_to_n2():
+    # all 4 + 256 tables, so every r0 verdict at these sizes is pinned
+    for n in (1, 2):
+        for sp in cs.enumerate_spaces(n, "all"):
+            _assert_profiles_match_oracle(sp)
 
 
 @given(spaces())

@@ -4,7 +4,7 @@ import pytest
 
 import closurespaces as cs
 import oracles
-from closurespaces import enumeration
+from closurespaces import _kernels, enumeration
 
 
 def test_all_stream_count_n2():
@@ -33,14 +33,8 @@ def test_isotonic_count_n2_against_filter_oracle():
 def test_upset_families_counted_by_independent_filter():
     # up-closed families, found by the definition over explicit subset lists
     for n, expected in [(1, 3), (2, 6), (3, 20)]:
-        size = 1 << n
-        count = 0
-        for fam_bits in range(1 << size):
-            fam = {a for a in range(size) if (fam_bits >> a) & 1}
-            if all(b in fam for a in fam for b in range(size) if a & ~b == 0):
-                count += 1
-        assert count == expected
-        assert len(enumeration.upset_families(n)) == expected
+        assert len(oracles.upset_families(n)) == expected
+        assert list(enumeration.upset_families(n)) == oracles.upset_families(n)
 
 
 def test_isotonic_count_n3():
@@ -73,9 +67,18 @@ def test_extsep_stream_matches_filter_oracle():
 def test_extsep_n3_count_and_exactness():
     tables = enumeration.extsep_tables(3)
     assert tables.shape[0] == cs.class_size(3, "exterior_separated") == 51040
+    # strictly increasing rows, all members: with the count, the exact class
+    as_tuples = [tuple(r) for r in tables.tolist()]
+    assert all(a < b for a, b in zip(as_tuples, as_tuples[1:]))
+    assert _kernels.kernel("symmetry_flags")(tables, 3)[:, 2].all()
     for row in tables[::4993]:
         sp = cs.make_space(cs.ground(3), [int(v) for v in row])
         assert cs.symmetry_profile(sp).exterior_separated
+
+
+def test_extsep_count_matches_literal_count():
+    for n in (1, 2, 3, 4):
+        assert enumeration.extsep_count(n) == oracles.exterior_separated_count(n)
 
 
 def test_filtered_classes_are_exact():
@@ -133,6 +136,47 @@ def test_sample_spaces_class_membership_n4():
         assert prof.isotonic and prof.enlarging
     with pytest.raises(cs.UniverseTooLarge):
         list(cs.sample_spaces(5, "all", 1, seed=0))
+
+
+@pytest.mark.parametrize("cls", cs.CLASSES)
+def test_samples_cover_exactly_the_enumerated_class_n2(cls):
+    # catches sampled non-members and class members the sampler never draws
+    sampled = {tuple(row) for row in enumeration.sample_tables(2, cls, 5000, seed=3).tolist()}
+    assert sampled == {sp.table for sp in cs.enumerate_spaces(2, cls)}
+
+
+_ORACLE_MEMBERSHIP = {
+    "all": (),
+    "isotonic": (oracles.isotonic,),
+    "isotonic_pointwise_symmetric": (oracles.isotonic, oracles.pointwise_symmetric),
+    "exterior_separated": (oracles.exterior_separated,),
+    "enlarging_isotonic": (oracles.isotonic, oracles.enlarging),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("cls", cs.CLASSES)
+def test_sampled_tables_pass_the_oracle_predicates(cls, n):
+    for sp in cs.sample_spaces(n, cls, 30, seed=n):
+        universe, cl = oracles.from_space(sp)
+        for predicate in _ORACLE_MEMBERSHIP[cls]:
+            assert predicate(universe, cl)
+
+
+_LITERAL_SAMPLES = {
+    "isotonic": oracles.isotonic_sample,
+    "isotonic_pointwise_symmetric": oracles.isotonic_pointwise_symmetric_sample,
+    "enlarging_isotonic": oracles.enlarging_isotonic_sample,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("cls", list(_LITERAL_SAMPLES))
+def test_isotonic_samples_match_the_literal_assembly(cls, n):
+    # pins which tables a seed selects
+    for seed in (0, 5):
+        got = enumeration.sample_tables(n, cls, 40, seed)
+        assert got.tolist() == _LITERAL_SAMPLES[cls](n, 40, seed)
 
 
 def test_enumerate_maps_counts(d2, p1):
