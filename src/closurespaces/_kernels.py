@@ -81,39 +81,33 @@ def _isotonic_all_pairs(tables, n):
 
 
 def _symmetry_flags(tables, n):
-    count = tables.shape[0]
     size = 1 << n
-    full = size - 1
+    # cols[a]: cl(a) for every table, one contiguous row per subset, in the
+    # narrowest dtype that holds a mask (uint8 up to n = 8)
+    cols = tables.T.astype(np.min_scalar_type(size - 1), order="C")
 
-    pws = np.ones(count, bool)
+    # inter[x]: the intersection of cl(A) over every A that contains x.
+    # * r0.  A neighborhood N of y misses x exactly when y is not in cl(A)
+    #   for A = X \ N, a set that contains x.  So x lies in every
+    #   neighborhood of y iff y is in inter[x], and r0 reads:
+    #   y in inter[x] => x in inter[y].
+    # * Exterior separation: x not in cl(A) => cl({x}) and A are disjoint,
+    #   for every A.  cl({x}) meets A exactly when some y in A lies in
+    #   cl({x}), so it reads: y in cl({x}) => x in inter[y].
+    inter = [
+        np.bitwise_and.reduce(cols[[a for a in range(size) if a >> x & 1]], axis=0)
+        for x in range(n)
+    ]
+
+    # bit 0 of bad[k] is set once some pair (x, y) fails property k
+    bad = np.zeros((3, tables.shape[0]), cols.dtype)
     for x in range(n):
-        cx = tables[:, 1 << x]
+        cx = cols[1 << x]
         for y in range(n):
-            pws &= ~((((tables[:, 1 << y] >> x) & 1) == 1) & (((cx >> y) & 1) == 0))
-
-    # r0 by the literal neighborhood quantifiers
-    # hyp[x][y]: x lies in every neighborhood of y
-    hyp = np.empty((n, n, count), bool)
-    for x in range(n):
-        for y in range(n):
-            h = np.ones(count, bool)
-            for ns in range(size):
-                if (ns >> x) & 1:
-                    continue
-                h &= (((full ^ tables[:, full ^ ns]) >> y) & 1) == 0
-            hyp[x, y] = h
-    r0 = np.ones(count, bool)
-    for x in range(n):
-        for y in range(n):
-            r0 &= ~hyp[x, y] | hyp[y, x]
-
-    extsep = np.ones(count, bool)
-    for a in range(size):
-        ext = full ^ tables[:, a]
-        for x in range(n):
-            extsep &= ~((((ext >> x) & 1) == 1) & ((tables[:, 1 << x] & a) != 0))
-
-    return np.stack([pws, r0, extsep], axis=1).astype(np.uint8)
+            bad[0] |= (cx >> y) & ~(cols[1 << y] >> x)
+            bad[1] |= (inter[x] >> y) & ~(inter[y] >> x)
+            bad[2] |= (cx >> y) & ~(inter[y] >> x)
+    return ((bad & 1) == 0).T.astype(np.uint8)
 
 
 def _formula_flags(tables, n):

@@ -8,9 +8,14 @@ implication it states.
 
 Sweeps are exhaustive when the universe fits the evaluation budget (a count
 of subset-pair predicate evaluations, 4**n per space or map instance) and
-seeded samples otherwise.  Chunks of the universe are processed
-independently and merged in chunk order, so reports are identical for any
-worker count.
+seeded samples otherwise; that choice, with its budget check, is made before
+any chunk is loaded.  Chunks of the universe are then independent jobs on a
+thread pool, merged in chunk order, so reports are identical for any worker
+count.  Each job loads its own tables: a chunk of class 'all' is decoded from
+its block of the lexicographic universe by the pool thread that evaluates it,
+and a chunk of a cached or sampled universe is a slice of an array already in
+memory.  A job returns only counts and capped witnesses, so the decoded
+tables in memory stay within workers x chunk size, whatever the universe.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from .enumeration import (
     UniverseTooLarge,
     all_assignments,
     all_tables_block,
-    iter_table_chunks,
+    chunk_loaders,
     sample_tables,
+    slice_loaders,
 )
 from .maps import make_map
 from .separation import (
@@ -475,14 +481,18 @@ def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
 
 def _class_chunks(
     n: int, cls: str, table_budget: int, seed: int
-) -> tuple[list[np.ndarray], bool]:
-    """The class universe in chunks and True, or a seeded sample of it in
-    chunks and False when the universe is over the table budget."""
+) -> tuple[list[Callable[[], np.ndarray]], bool]:
+    """Chunk loaders for the class universe and True, or for a seeded sample
+    of it and False when the universe is over the table budget.
+
+    The budget is checked here, before any chunk is loaded.  A loader of
+    class 'all' decodes its rows when called, on the pool thread that
+    evaluates the chunk."""
     try:
-        return list(iter_table_chunks(n, cls, budget=table_budget, chunk_size=_CHUNK)), True
+        return chunk_loaders(n, cls, budget=table_budget, chunk_size=_CHUNK), True
     except UniverseTooLarge:
         tables = sample_tables(n, cls, min(table_budget, SAMPLE_CAP), seed)
-        return [tables[i : i + _CHUNK] for i in range(0, tables.shape[0], _CHUNK)], False
+        return slice_loaders(tables, _CHUNK), False
 
 
 def _verify_space_claim(
@@ -497,9 +507,10 @@ def _verify_space_claim(
         groups.setdefault(impl.universe, []).append(impl)
 
     for gi, (universe, impls) in enumerate(groups.items()):
-        chunks, exhaustive = _class_chunks(n, universe, table_budget, seed + gi)
+        loaders, exhaustive = _class_chunks(n, universe, table_budget, seed + gi)
 
-        def eval_chunk(tables: np.ndarray) -> tuple[int, int, list[dict]]:
+        def eval_chunk(load: Callable[[], np.ndarray]) -> tuple[int, int, list[dict]]:
+            tables = load()
             cols = _SpaceColumns(tables, n)
             viols: list[dict] = []
             total = 0
@@ -516,7 +527,7 @@ def _verify_space_claim(
                     viols.append(_space_witness(n, tables[i]))
             return tables.shape[0], total, viols
 
-        for checked, vtotal, viols in _run_ordered(chunks, eval_chunk, workers):
+        for checked, vtotal, viols in _run_ordered(loaders, eval_chunk, workers):
             report.instances_checked += checked
             report.total_violations += vtotal
             report.violations.extend(viols)
@@ -563,9 +574,10 @@ def _verify_map_claim(
 
     for gi, ((cls_x, cls_y), impls) in enumerate(groups.items()):
         table_budget = max(1, budget // cost)
-        x_chunks, ex_x = _class_chunks(n, cls_x, table_budget, seed + 101 * gi)
-        y_chunks, ex_y = _class_chunks(n, cls_y, table_budget, seed + 101 * gi + 1)
-        tx, ty = np.concatenate(x_chunks), np.concatenate(y_chunks)
+        x_loaders, ex_x = _class_chunks(n, cls_x, table_budget, seed + 101 * gi)
+        y_loaders, ex_y = _class_chunks(n, cls_y, table_budget, seed + 101 * gi + 1)
+        tx = np.concatenate([load() for load in x_loaders])
+        ty = np.concatenate([load() for load in y_loaders])
         exhaustive = ex_x and ex_y
 
         instances = tx.shape[0] * ty.shape[0] * fcount
@@ -744,14 +756,17 @@ def _hunt_maps(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
     kernel = _kernels.kernel("map_flags")
     for nx, ny in sizes:
         cost = 4 ** max(nx, ny)
-        fmaps = all_assignments(nx, ny)
-        imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
         tx_total = (1 << nx) ** (1 << nx)
         ty_total = (1 << ny) ** (1 << ny)
-        ty = all_tables_block(ny, 0, ty_total)
-        per_x = ty_total * fmaps.shape[0]
+        per_x = ty_total * ny**nx  # codomain tables times assignments
         allowed = (budget - spent) // max(1, cost * per_x)
         scan = min(tx_total, allowed)
+        if not scan:
+            # a later, smaller size pair may still fit; build nothing here
+            continue
+        fmaps = all_assignments(nx, ny)
+        imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
+        ty = all_tables_block(ny, 0, ty_total)
         block = max(1, _CHUNK // max(1, per_x))
         for lo in range(0, scan, block):
             hi = min(lo + block, scan)

@@ -257,11 +257,12 @@ def symmetry_profile(space: Space) -> SymmetryProfile:
         if not r0:
             break
 
+    # for x outside cl(A), {x} and A are separated iff cl({x}) misses A
     exterior_separated = True
     for a in range(size):
         ext = full ^ t[a]
         for x in range(n):
-            if (ext >> x) & 1 and not are_separated(space, 1 << x, a):
+            if (ext >> x) & 1 and t[1 << x] & a:
                 exterior_separated = False
                 break
         if not exterior_separated:

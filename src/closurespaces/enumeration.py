@@ -28,8 +28,8 @@ test suite.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -203,26 +203,41 @@ def class_size(n: int, cls: str) -> int | None:
 
 
 def all_tables_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the full lexicographic table universe at size n."""
+    """Rows start..stop of the full lexicographic table universe at size n.
+
+    Row m lists the 2**n base-2**n digits of m, most significant first; a
+    digit is n bits wide, so entry pos is (m >> n*(2**n - 1 - pos)) & (2**n - 1).
+    The array is the transpose of a C-ordered (2**n, stop - start) array, so
+    each entry's column is contiguous, as the kernels read it.
+    """
     size = 1 << n
     m = np.arange(start, stop, dtype=np.int64)
-    cols = []
-    for pos in range(size):
-        div = size ** (size - 1 - pos)
-        cols.append((m // div) % size)
-    return np.stack(cols, axis=1)
+    shifts = n * np.arange(size - 1, -1, -1, dtype=np.int64)
+    return ((m >> shifts[:, None]) & (size - 1)).T
 
 
-def iter_table_chunks(
+def slice_loaders(tables: np.ndarray, chunk_size: int) -> list[Callable[[], np.ndarray]]:
+    """Loaders of consecutive ``chunk_size``-row slices of an array in memory."""
+    return [
+        partial(tables.__getitem__, slice(start, start + chunk_size))
+        for start in range(0, tables.shape[0], chunk_size)
+    ]
+
+
+def chunk_loaders(
     n: int,
     cls: str = "all",
     budget: int | None = None,
     chunk_size: int = 1 << 14,
-) -> Iterator[np.ndarray]:
-    """Stream the class universe as int64 table arrays in lexicographic order.
+) -> list[Callable[[], np.ndarray]]:
+    """The class universe as loaders of consecutive chunks, in lexicographic
+    order; calling a loader returns its chunk as an int64 table array.
 
-    Raises UniverseTooLarge when the universe (the unfiltered base universe,
-    for the filtered classes) exceeds ``budget`` tables.
+    The universe is checked against ``budget`` here, before any chunk is
+    loaded: raises UniverseTooLarge when the universe (the unfiltered base
+    universe, for the filtered classes) exceeds ``budget`` tables.  A loader
+    of class 'all' decodes its rows only when called, so a caller holds only
+    the chunks it is evaluating; the other classes are cached arrays, sliced.
     """
     _check_class(cls)
     limit = DEFAULT_TABLE_BUDGET if budget is None else int(budget)
@@ -233,9 +248,10 @@ def iter_table_chunks(
             raise UniverseTooLarge(
                 f"class 'all' at n={n} has {total} tables, over the budget of {limit}"
             )
-        for start in range(0, total, chunk_size):
-            yield all_tables_block(n, start, min(start + chunk_size, total))
-        return
+        return [
+            partial(all_tables_block, n, start, min(start + chunk_size, total))
+            for start in range(0, total, chunk_size)
+        ]
 
     # the generated families stop at n = 3; refuse before counting them
     if n > 3:
@@ -261,8 +277,22 @@ def iter_table_chunks(
         elif cls == "enlarging_isotonic":
             flags = _kernels.kernel("axiom_flags")(tables, n)
             tables = tables[flags[:, 2] == 1]
-    for start in range(0, tables.shape[0], chunk_size):
-        yield tables[start : start + chunk_size]
+    return slice_loaders(tables, chunk_size)
+
+
+def iter_table_chunks(
+    n: int,
+    cls: str = "all",
+    budget: int | None = None,
+    chunk_size: int = 1 << 14,
+) -> Iterator[np.ndarray]:
+    """Stream the class universe as int64 table arrays in lexicographic order.
+
+    Raises UniverseTooLarge when the universe (the unfiltered base universe,
+    for the filtered classes) exceeds ``budget`` tables.
+    """
+    for load in chunk_loaders(n, cls, budget, chunk_size):
+        yield load()
 
 
 def spaces_from_tables(n: int, tables: np.ndarray) -> Iterator[Space]:

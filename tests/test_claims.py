@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,52 @@ def test_worker_count_does_not_change_reports():
         assert solo.total_violations == quad.total_violations
         assert solo.violations == quad.violations
         assert solo.exhaustive == quad.exhaustive
+
+
+def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
+    # 16-table chunks split the 256 tables at n = 2 into 16 jobs
+    bogus = claims.Claim(
+        "bogus-all-grounded",
+        "every space is grounded (false)",
+        "space",
+        (claims.SpaceImplication("all", (), ("grounded",)),),
+    )
+    monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
+    monkeypatch.setattr(claims, "_CHUNK", 16)
+    loaders, exhaustive = claims._class_chunks(2, "all", 256, seed=0)
+    assert len(loaders) == 16 and exhaustive
+    solo = cs.verify_claim(bogus.id, 2, workers=1)
+    trio = cs.verify_claim(bogus.id, 2, workers=3)
+    assert solo.summary() == trio.summary()
+    assert solo.summary() == "claim=bogus-all-grounded n=2 checked=256 violations=192 exhaustive=true"
+    assert solo.violations == trio.violations
+    assert len(solo.violations) == claims.VIOLATION_CAP
+
+
+def test_all_tables_sweep_at_n3_peak_rss_stays_under_200_mb():
+    # the 16,777,216 tables take 1 GB as int64; the sweep decodes them one
+    # chunk per pool thread, so its peak memory must not grow with them.
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    code = (
+        "import resource, sys\n"
+        "from closurespaces.cli import main\n"
+        "code = main(['--quiet', 'verify', '--claim', 'cor-r0', '--n', '3',\n"
+        "             '--budget', '2147483648', '--workers', '2'])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cs.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary, peak_kib = proc.stdout.splitlines()
+    assert summary == "claim=cor-r0 n=3 checked=16777216 violations=0 exhaustive=true"
+    assert int(peak_kib) < 200 * 1024, f"peak RSS {int(peak_kib) / 1024:.0f} MB"
 
 
 def test_merge_reports_is_associative_and_canonical():
@@ -212,6 +262,19 @@ def test_hunt_witnesses_are_byte_stable(claim_id):
 
 def test_hunt_exhausted_budget_returns_none():
     assert cs.hunt_counterexample("neg-pws-not-extsep", n_max=2, budget=0) is None
+
+
+def test_map_hunt_checks_the_budget_before_building_a_codomain(monkeypatch):
+    # the whole n = 3 universe is 16,777,216 tables, about 1 GB; a budget of
+    # 100 affords no n = 3 codomain, so the hunt must not decode one
+    real = claims.all_tables_block
+
+    def guarded(n, start, stop):
+        assert not (n == 3 and stop - start == 8**8), "decoded the whole n = 3 universe"
+        return real(n, start, stop)
+
+    monkeypatch.setattr(claims, "all_tables_block", guarded)
+    assert cs.hunt_counterexample("neg-ns-not-cont", n_max=3, budget=100) is None
 
 
 def test_equivalence_theorem_witness_has_non_extsep_codomain():

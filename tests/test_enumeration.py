@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import closurespaces as cs
@@ -199,3 +200,20 @@ def test_all_tables_block_agrees_with_product():
     block = enumeration.all_tables_block(2, 10, 20)
     expected = list(itertools.product(range(4), repeat=4))[10:20]
     assert [tuple(int(v) for v in r) for r in block] == expected
+
+
+@pytest.mark.parametrize(
+    "n,start",
+    [(3, 0), (3, 8**8 // 2), (3, 8**8 - (1 << 14)), (4, 123_456_789_012_345)],
+)
+def test_all_tables_block_lists_the_base_2n_digits(n, start):
+    # row m holds the 2**n digits of m in base 2**n, most significant first
+    size = 1 << n
+    stop = start + (1 << 14)
+    block = enumeration.all_tables_block(n, start, stop)
+    assert block.dtype == np.int64 and block.shape == (stop - start, size)
+    expected = [
+        [(m // size ** (size - 1 - pos)) % size for pos in range(size)]
+        for m in range(start, stop)
+    ]
+    assert block.tolist() == expected

@@ -29,13 +29,18 @@ def _universe(n):
     if n <= 2:
         size = 1 << n
         return enumeration.all_tables_block(n, 0, size**size)
-    if n == 3:
-        # a sample of all tables holds almost no isotonic ones
-        classes = ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated")
-        alls = enumeration.sample_tables(n, "all", 400, seed=5)
-        return np.concatenate([alls, _near(n, classes, 100)])
-    # the classes whose n = 4 samples the sweeps feed to the relation kernels
-    return _near(n, ("isotonic_pointwise_symmetric", "exterior_separated"), 20)
+    # a sample of all tables holds almost no isotonic ones
+    classes = ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated")
+    alls = enumeration.sample_tables(n, "all", 400, seed=5)
+    return np.concatenate([alls, _near(n, classes, 100)])
+
+
+# the classes whose n = 4 samples the sweeps feed to each kernel
+_N4_CLASSES = {
+    "criteria_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
+    "roundtrip_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
+    "symmetry_flags": ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated"),
+}
 
 
 def _as_sets(row, n):
@@ -91,11 +96,12 @@ SPACE_ORACLES = {
 @pytest.mark.parametrize(
     "n,name",
     [(n, name) for n in (1, 2, 3) for name in sorted(SPACE_ORACLES)]
-    # separation rows use bits up to 15 at n = 4
-    + [(4, "criteria_flags"), (4, "roundtrip_flags")],
+    # separation rows use bits up to 15 at n = 4; the symmetry kernel
+    # narrows tables to uint8 words
+    + [(4, "criteria_flags"), (4, "roundtrip_flags"), (4, "symmetry_flags")],
 )
 def test_space_kernel_matches_oracle(n, name):
-    tables = _universe(n)
+    tables = _near(n, _N4_CLASSES[name], 20) if n == 4 else _universe(n)
     got = _kernels.kernel(name)(tables, n).reshape(tables.shape[0], -1)
     for i in range(tables.shape[0]):
         want = SPACE_ORACLES[name](*_as_sets(tables[i], n))
