@@ -132,28 +132,6 @@ def _canonical_key(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def merge_reports(reports: Iterable[VerificationReport]) -> VerificationReport:
-    """Associative merge: counts add, violations concatenate (re-sorted
-    canonically and capped), exhaustive ANDs."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("nothing to merge")
-    first = reports[0]
-    merged = VerificationReport(first.claim_id, first.n, 0)
-    viols: list[dict] = []
-    for r in reports:
-        if r.claim_id != first.claim_id:
-            raise ValueError("cannot merge reports for different claims")
-        merged.instances_checked += r.instances_checked
-        merged.total_violations += r.total_violations
-        merged.exhaustive = merged.exhaustive and r.exhaustive
-        merged.elapsed = max(merged.elapsed, r.elapsed)
-        viols.extend(r.violations)
-    viols.sort(key=_canonical_key)
-    merged.violations = viols[:VIOLATION_CAP]
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------

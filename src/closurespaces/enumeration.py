@@ -1,27 +1,37 @@
-"""Exhaustive and sampled generators for spaces and maps at desk scale.
+"""Exhaustive and sampled table generators for the five classes at desk scale.
 
 Exhaustive streams are deterministic and lexicographic over table entries
-(entry for subset 0 most significant).  Two class families avoid filtering the
-full (2**n)**(2**n) universe.  Each family has one vectorized assembler, shared
-by its exhaustive stream, its seeded sampler and its class count; only the
-source of the parameters differs (every combination, or seeded draws):
+(entry for subset 0 most significant).  No class is found by filtering a
+larger universe.  Each class has one vectorized assembler, shared by its
+exhaustive stream, its seeded sampler and its count in :func:`class_size`;
+only the source of the parameters differs (every combination, or seeded
+draws):
 
-* isotonic tables factor into one upward-closed family of subsets per output
-  bit.  :func:`_isotonic_rows` builds tables from one up-set pick per bit.
-  The enlarging isotonic tables are the picks, for bit x, among the up-sets
+* all: table m lists the base-2**n digits of m (:func:`all_tables_block`).
+* isotonic tables factor into one upward-closed family of subsets (up-set)
+  per output bit.  :func:`_isotonic_rows` builds tables from one up-set pick
+  per bit.
+* enlarging isotonic tables are the picks, for bit x, among the up-sets
   that contain {x}.
+* isotonic pointwise-symmetric tables are the picks whose singleton
+  signature M[x][y] = [{y} in U_x] is a symmetric matrix.
+  :func:`_pws_rows` numbers them: matrix by matrix, M owning as many numbers
+  as there are picks of an up-set with signature M[x] for every x.
 * exterior-separated tables are exactly those whose singleton rows form a
   symmetric matrix R and whose entry for each A contains the forced mask
   {x : R(x) meets A}.  :func:`_matrix_rows` turns matrix bits into the rows R
   and :func:`_forced` gives the forced masks; the stream adds every
   combination of extra bits, the sampler one uniform draw per entry.
 
-The isotonic samplers draw one pick per output bit, so a seed always selects
-the same tables.  The exterior-separated sampler draws all matrix bits in one
-call and then all extra bits in one call.  Its distribution is that of the
-earlier per-table draws, but a seed now selects different tables.
+The isotonic and enlarging samplers draw one pick per output bit.  The
+pointwise-symmetric sampler draws uniform table numbers, so it draws M with
+weight the number of its tables and then one uniform up-set per bit.  It
+replaced a rejection loop over isotonic samples: the distribution, uniform
+over the class, is the same, but a seed now selects different tables.  The
+exterior-separated sampler draws all matrix bits in one call and then all
+extra bits in one call.
 
-Both constructions are cross-checked against filter-based oracles in the
+All constructions are cross-checked against filter-based oracles in the
 test suite.
 """
 
@@ -33,9 +43,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import _kernels
-from .core import ClosureSpaceError, Space, ground
-from .maps import SpaceMap, make_map
+from .core import ClosureSpaceError
 
 CLASSES = (
     "all",
@@ -45,9 +53,8 @@ CLASSES = (
     "enlarging_isotonic",
 )
 
-DEFAULT_TABLE_BUDGET = 200_000
-DEFAULT_MAP_BUDGET = 1_000_000
 SAMPLE_MAX_N = 4
+_STREAM_MAX_N = 3  # the streams of the generated classes are arrays in memory
 
 
 class UniverseTooLarge(ClosureSpaceError):
@@ -63,13 +70,23 @@ def _check_class(cls: str) -> None:
         raise UnknownClass(f"unknown generator class: {cls!r}")
 
 
+def _check_stream(n: int, cls: str) -> None:
+    if n > _STREAM_MAX_N:
+        raise UniverseTooLarge(
+            f"class {cls!r} enumeration is limited to n <= {_STREAM_MAX_N}, got {n}"
+        )
+
+
 @lru_cache(maxsize=None)
 def upset_families(n: int) -> tuple[int, ...]:
     """All upward-closed families of subsets of an n-element set.
 
     A family is a bitmask over the 2**n subsets: bit A set means A belongs.
-    Found by filtering all families; counts are 3, 6, 20, 168 for n=1..4.
+    Found by filtering all 2**2**n families; counts are 3, 6, 20, 168 for
+    n=1..4.  Above n = 4 the filter would not fit in memory.
     """
+    if n > SAMPLE_MAX_N:
+        raise UniverseTooLarge(f"up-set families are limited to n <= {SAMPLE_MAX_N}, got {n}")
     size = 1 << n
     fams = np.arange(1 << size, dtype=np.int64)
     ok = np.ones(fams.shape[0], bool)
@@ -93,17 +110,31 @@ def _isotonic_rows(fams, picks: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=8)
-def isotonic_tables(n: int) -> np.ndarray:
-    """All isotonic tables on n elements, lexicographic, as an int64 array."""
-    if n > 3:
-        raise UniverseTooLarge(f"isotonic enumeration is limited to n <= 3, got {n}")
-    fams = upset_families(n)
-    picks = np.indices((len(fams),) * n).reshape(n, -1).T
-    rows = _isotonic_rows((fams,) * n, picks, n)
+def _every_table(fams, n: int) -> np.ndarray:
+    """The tables of every pick of one up-set ``fams[j]`` per bit j,
+    lexicographic."""
+    picks = np.indices([len(f) for f in fams]).reshape(n, -1).T
+    return _lexicographic(_isotonic_rows(fams, picks, n))
+
+
+def _lexicographic(rows: np.ndarray) -> np.ndarray:
     ordered = rows[np.lexsort(rows.T[::-1])]
     ordered.setflags(write=False)  # cached and shared; callers must not mutate
     return ordered
+
+
+@lru_cache(maxsize=8)
+def isotonic_tables(n: int) -> np.ndarray:
+    """All isotonic tables on n elements, lexicographic, as an int64 array."""
+    _check_stream(n, "isotonic")
+    return _every_table((upset_families(n),) * n, n)
+
+
+def _enlarging_families(n: int) -> list[tuple[int, ...]]:
+    """For each bit x, the up-sets that contain {x}, hence every subset with
+    x; they are in the order of the up-sets of the n - 1 other elements they
+    restrict to."""
+    return [tuple(f for f in upset_families(n) if (f >> (1 << x)) & 1) for x in range(n)]
 
 
 def _matrix_count(n: int) -> int:
@@ -120,6 +151,48 @@ def _matrix_rows(bits: np.ndarray, n: int) -> np.ndarray:
         rows[:, x] |= bit << y
         rows[:, y] |= bit << x
     return rows
+
+
+@lru_cache(maxsize=None)
+def _pws_parts(n: int):
+    """Parameters of the isotonic pointwise-symmetric tables.
+
+    Returns the up-sets sorted by singleton signature {y : {y} in U}
+    (ascending within a signature); for each signature r, the index of its
+    first up-set and its number c(r) of up-sets; the rows of every symmetric
+    matrix M; and each M's table count, the product of c(M[x]) over x.
+    """
+    fams = upset_families(n)
+    sig = [sum(((f >> (1 << y)) & 1) << y for y in range(n)) for f in fams]
+    order = sorted(range(len(fams)), key=sig.__getitem__)
+    counts = np.bincount(sig, minlength=1 << n)
+    rows = _matrix_rows(np.arange(_matrix_count(n)), n)
+    weights = counts[rows].prod(axis=1)
+    parts = (np.cumsum(counts) - counts, counts, rows, weights)
+    for part in parts:
+        part.setflags(write=False)  # cached and shared; callers must not mutate
+    return (tuple(fams[i] for i in order), *parts)
+
+
+def _pws_rows(index: np.ndarray, n: int) -> np.ndarray:
+    """The isotonic pointwise-symmetric tables numbered ``index``.
+
+    The matrices own consecutive runs of numbers, in matrix-bits order.
+    Within the run of M, the remainder's digits in mixed radix c(M[0]), ...,
+    c(M[n-1]) (bit 0 most significant) pick, for each bit x, one of the
+    up-sets with signature M[x].
+    """
+    fams, starts, counts, rows, weights = _pws_parts(n)
+    ends = np.cumsum(weights)
+    m = np.searchsorted(ends, index, side="right")
+    rest = index - (ends - weights)[m]
+    sig = rows[m]
+    picks = np.empty_like(sig)
+    for x in reversed(range(n)):
+        radix = counts[sig[:, x]]
+        picks[:, x] = starts[sig[:, x]] + rest % radix
+        rest = rest // radix
+    return _isotonic_rows((fams,) * n, picks, n)
 
 
 def _forced(rows: np.ndarray, n: int) -> np.ndarray:
@@ -163,10 +236,7 @@ def extsep_count(n: int) -> int:
 @lru_cache(maxsize=8)
 def extsep_tables(n: int) -> np.ndarray:
     """All exterior-separated tables on n elements, lexicographic."""
-    if n > 3:
-        raise UniverseTooLarge(
-            f"exterior-separated enumeration is limited to n <= 3, got {n}"
-        )
+    _check_stream(n, "exterior_separated")
     size = 1 << n
     full = size - 1
     # by_rank[f, d] is the d-th submask of f in ascending order
@@ -184,22 +254,32 @@ def extsep_tables(n: int) -> np.ndarray:
         tables = np.repeat(tables, reps, axis=0)
         rank = np.arange(tables.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
         tables[:, a] |= by_rank[np.repeat(free, reps), rank]
-    ordered = tables[np.lexsort(tables.T[::-1])]
-    ordered.setflags(write=False)  # cached and shared; callers must not mutate
-    return ordered
+    return _lexicographic(tables)
 
 
-def class_size(n: int, cls: str) -> int | None:
-    """Exact class size where it is known without filtering, else None."""
+@lru_cache(maxsize=8)
+def _subclass_tables(n: int, cls: str) -> np.ndarray:
+    """All enlarging or all pointwise-symmetric isotonic tables,
+    lexicographic."""
+    if cls == "enlarging_isotonic":
+        return _every_table(_enlarging_families(n), n)
+    return _lexicographic(_pws_rows(np.arange(class_size(n, cls)), n))
+
+
+def class_size(n: int, cls: str) -> int:
+    """Exact number of tables of the class on n elements."""
     _check_class(cls)
     size = 1 << n
     if cls == "all":
         return size**size
     if cls == "isotonic":
         return len(upset_families(n)) ** n
-    if cls == "exterior_separated":
-        return extsep_count(n)
-    return None
+    if cls == "enlarging_isotonic":
+        return len(_enlarging_families(n)[0]) ** n
+    if cls == "isotonic_pointwise_symmetric":
+        *_, weights = _pws_parts(n)
+        return int(weights.sum())
+    return extsep_count(n)
 
 
 def all_tables_block(n: int, start: int, stop: int) -> np.ndarray:
@@ -225,89 +305,46 @@ def slice_loaders(tables: np.ndarray, chunk_size: int) -> list[Callable[[], np.n
 
 
 def chunk_loaders(
-    n: int,
-    cls: str = "all",
-    budget: int | None = None,
-    chunk_size: int = 1 << 14,
+    n: int, cls: str, budget: int, chunk_size: int = 1 << 14
 ) -> list[Callable[[], np.ndarray]]:
     """The class universe as loaders of consecutive chunks, in lexicographic
     order; calling a loader returns its chunk as an int64 table array.
 
-    The universe is checked against ``budget`` here, before any chunk is
-    loaded: raises UniverseTooLarge when the universe (the unfiltered base
-    universe, for the filtered classes) exceeds ``budget`` tables.  A loader
+    The class size is checked against ``budget`` here, before any chunk is
+    loaded: raises UniverseTooLarge when the class has more than ``budget``
+    tables, or when n > 3 for a class other than 'all'.  A loader
     of class 'all' decodes its rows only when called, so a caller holds only
     the chunks it is evaluating; the other classes are cached arrays, sliced.
     """
     _check_class(cls)
-    limit = DEFAULT_TABLE_BUDGET if budget is None else int(budget)
-
+    if cls != "all":
+        _check_stream(n, cls)  # before counting, which may not fit in memory
+    total = class_size(n, cls)
+    if total > budget:
+        raise UniverseTooLarge(
+            f"class {cls!r} at n={n} has {total} tables, over the budget of {budget}"
+        )
     if cls == "all":
-        total = class_size(n, "all")
-        if total > limit:
-            raise UniverseTooLarge(
-                f"class 'all' at n={n} has {total} tables, over the budget of {limit}"
-            )
         return [
             partial(all_tables_block, n, start, min(start + chunk_size, total))
             for start in range(0, total, chunk_size)
         ]
-
-    # the generated families stop at n = 3; refuse before counting them
-    if n > 3:
-        raise UniverseTooLarge(f"class {cls!r} enumeration is limited to n <= 3, got {n}")
-
-    if cls == "exterior_separated":
-        total = extsep_count(n)
-        if total > limit:
-            raise UniverseTooLarge(
-                f"class 'exterior_separated' at n={n} has {total} tables, "
-                f"over the budget of {limit}"
-            )
-        tables = extsep_tables(n)
-    else:  # the isotonic family
-        if class_size(n, "isotonic") > limit:
-            raise UniverseTooLarge(
-                f"isotonic base universe at n={n} exceeds the budget of {limit}"
-            )
+    if cls == "isotonic":
         tables = isotonic_tables(n)
-        if cls == "isotonic_pointwise_symmetric":
-            flags = _kernels.kernel("symmetry_flags")(tables, n)
-            tables = tables[flags[:, 0] == 1]
-        elif cls == "enlarging_isotonic":
-            flags = _kernels.kernel("axiom_flags")(tables, n)
-            tables = tables[flags[:, 2] == 1]
+    elif cls == "exterior_separated":
+        tables = extsep_tables(n)
+    else:
+        tables = _subclass_tables(n, cls)
     return slice_loaders(tables, chunk_size)
 
 
 def iter_table_chunks(
-    n: int,
-    cls: str = "all",
-    budget: int | None = None,
-    chunk_size: int = 1 << 14,
+    n: int, cls: str, budget: int, chunk_size: int = 1 << 14
 ) -> Iterator[np.ndarray]:
-    """Stream the class universe as int64 table arrays in lexicographic order.
-
-    Raises UniverseTooLarge when the universe (the unfiltered base universe,
-    for the filtered classes) exceeds ``budget`` tables.
-    """
+    """Stream the class universe as int64 table arrays in lexicographic
+    order: the chunks of :func:`chunk_loaders`, loaded one at a time."""
     for load in chunk_loaders(n, cls, budget, chunk_size):
         yield load()
-
-
-def spaces_from_tables(n: int, tables: np.ndarray) -> Iterator[Space]:
-    g = ground(n)
-    for row in tables:
-        yield Space(g, tuple(int(v) for v in row))
-
-
-def enumerate_spaces(
-    n: int, cls: str = "all", budget: int | None = None
-) -> Iterator[Space]:
-    """Every space of the class at carrier size n, exactly once, in
-    lexicographic table order."""
-    for chunk in iter_table_chunks(n, cls, budget):
-        yield from spaces_from_tables(n, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +352,12 @@ def enumerate_spaces(
 # ---------------------------------------------------------------------------
 
 
-def _sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
+def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
+    """Exactly ``count`` class members as an int64 table array,
+    deterministic for a fixed seed."""
+    _check_class(cls)
+    if n > SAMPLE_MAX_N:
+        raise UniverseTooLarge(f"sampling is limited to n <= {SAMPLE_MAX_N}, got {n}")
     size = 1 << n
     rng = np.random.default_rng(seed)
 
@@ -327,30 +369,13 @@ def _sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
         picks = rng.integers(0, len(fams), size=(count, n))
         return _isotonic_rows((fams,) * n, picks, n)
 
-    if cls == "isotonic_pointwise_symmetric":
-        # rejection from the isotonic sampler, checked definitionally
-        rows = np.zeros((count, size), np.int64)
-        got = 0
-        attempt = 0
-        while got < count:
-            batch = _sample_tables(n, "isotonic", max(count, 64), seed + 7919 * attempt)
-            flags = _kernels.kernel("symmetry_flags")(batch, n)
-            keep = batch[flags[:, 0] == 1]
-            take = min(count - got, keep.shape[0])
-            rows[got : got + take] = keep[:take]
-            got += take
-            attempt += 1
-            if attempt > 10_000:
-                raise RuntimeError("rejection sampling failed to converge")
-        return rows
-
     if cls == "enlarging_isotonic":
-        # the family of bit x must contain {x}, hence every subset with x;
-        # these up-sets are in the order of the up-sets of the n - 1 other
-        # elements they restrict to
-        fams = [tuple(f for f in upset_families(n) if (f >> (1 << x)) & 1) for x in range(n)]
+        fams = _enlarging_families(n)
         picks = rng.integers(0, len(fams[0]), size=(count, n))
         return _isotonic_rows(fams, picks, n)
+
+    if cls == "isotonic_pointwise_symmetric":
+        return _pws_rows(rng.integers(0, class_size(n, cls), size=count), n)
 
     # remaining class: exterior_separated
     forced = _forced(_matrix_rows(rng.integers(0, _matrix_count(n), size=count), n), n)
@@ -359,38 +384,7 @@ def _sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
     return forced | extra
 
 
-def sample_spaces(n: int, cls: str, count: int, seed: int) -> Iterator[Space]:
-    """Exactly ``count`` class members, deterministic for a fixed seed."""
-    yield from spaces_from_tables(n, sample_tables(n, cls, count, seed))
-
-
-def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
-    """Array form of :func:`sample_spaces`, for the sweep kernels."""
-    _check_class(cls)
-    if n > SAMPLE_MAX_N:
-        raise UniverseTooLarge(f"sampling is limited to n <= {SAMPLE_MAX_N}, got {n}")
-    return _sample_tables(n, cls, count, seed)
-
-
-# ---------------------------------------------------------------------------
-# maps
-# ---------------------------------------------------------------------------
-
-
 def all_assignments(nx: int, ny: int) -> np.ndarray:
     """Every total assignment of nx domain elements into ny targets, lex."""
     rows = np.array(list(itertools.product(range(ny), repeat=nx)), np.int64)
     return rows.reshape(-1, nx)
-
-
-def enumerate_maps(x: Space, y: Space, budget: int | None = None) -> Iterator[SpaceMap]:
-    """All total maps from x to y in lexicographic assignment order."""
-    limit = DEFAULT_MAP_BUDGET if budget is None else int(budget)
-    total = y.ground.n ** x.ground.n
-    if total > limit:
-        raise UniverseTooLarge(
-            f"{total} maps from {x.ground.n} into {y.ground.n} elements, "
-            f"over the budget of {limit}"
-        )
-    for combo in itertools.product(range(y.ground.n), repeat=x.ground.n):
-        yield make_map(x, y, combo)

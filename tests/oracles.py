@@ -6,7 +6,8 @@ package.  Expected values asserted by the tests are computed (or re-checked)
 through these functions.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import numpy as np
 
@@ -300,16 +301,46 @@ def enlarging_isotonic_sample(n, count, seed):
 
 
 def isotonic_pointwise_symmetric_sample(n, count, seed):
-    """Rejection from isotonic_sample: batches of max(count, 64) tables drawn
-    with seeds seed + 7919 * attempt, pointwise-symmetric ones kept in order."""
-    kept = []
-    attempt = 0
-    while len(kept) < count:
-        for table in isotonic_sample(n, max(count, 64), seed + 7919 * attempt):
-            if pointwise_symmetric(*from_table(n, table)):
-                kept.append(table)
-        attempt += 1
-    return kept[:count]
+    """Uniform table numbers, decoded one table at a time.
+
+    An isotonic table is pointwise-symmetric iff the singleton signatures
+    {y : {y} in U_x} of its up-sets form a symmetric matrix M.  The matrices
+    are listed by their bits (bit k fills the k-th slot (x, y), x <= y); M
+    owns as many consecutive numbers as it has tables, the product over x of
+    the number of up-sets with signature M[x].  Within its run, the digits of
+    the remainder (bit 0 most significant) pick, for each x, one up-set with
+    signature M[x], in ascending order.
+    """
+    fams = upset_families(n)
+    slots = list(combinations_with_replacement(range(n), 2))
+
+    def signature(fam):
+        return sum(1 << y for y in range(n) if (fam >> (1 << y)) & 1)
+
+    runs = []
+    for bits in range(1 << len(slots)):
+        rows = [0] * n
+        for k, (x, y) in enumerate(slots):
+            if (bits >> k) & 1:
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+        choices = [[f for f in fams if signature(f) == rows[x]] for x in range(n)]
+        runs.append((prod(len(c) for c in choices), choices))
+    total = sum(size for size, _ in runs)
+    tables = []
+    for number in np.random.default_rng(seed).integers(0, total, size=count).tolist():
+        for size, choices in runs:
+            if number < size:
+                break
+            number -= size
+        picked = [0] * n
+        for x in reversed(range(n)):
+            number, digit = divmod(number, len(choices[x]))
+            picked[x] = choices[x][digit]
+        tables.append(
+            [sum(1 << j for j in range(n) if (picked[j] >> a) & 1) for a in range(1 << n)]
+        )
+    return tables
 
 
 # --- maps -------------------------------------------------------------------

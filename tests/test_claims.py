@@ -140,18 +140,13 @@ def test_all_tables_sweep_at_n3_peak_rss_stays_under_200_mb():
     assert int(peak_kib) < 200 * 1024, f"peak RSS {int(peak_kib) / 1024:.0f} MB"
 
 
-def test_merge_reports_is_associative_and_canonical():
-    a = cs.VerificationReport("x", 2, 10, [{"kind": "space", "n": 1}], 1, 0.5, True)
-    b = cs.VerificationReport("x", 2, 20, [{"kind": "space", "n": 0}], 1, 0.2, False)
-    c = cs.VerificationReport("x", 2, 5, [], 0, 0.1, True)
-    left = cs.merge_reports([cs.merge_reports([a, b]), c])
-    right = cs.merge_reports([a, cs.merge_reports([b, c])])
-    assert left.instances_checked == right.instances_checked == 35
-    assert left.total_violations == right.total_violations == 2
-    assert left.violations == right.violations
-    assert not left.exhaustive and not right.exhaustive
-    with pytest.raises(ValueError):
-        cs.merge_reports([a, cs.VerificationReport("y", 2, 0)])
+def test_roundtrip_budget_compares_the_class_size():
+    # the budget compares the class's own size: its 1,736 tables fit
+    # 200,000 // 4**3 = 3,125, the 8,000 isotonic tables would not
+    report = cs.verify_claim("thm-roundtrip", 3, budget=200_000)
+    assert report.exhaustive
+    assert report.instances_checked == 1736
+    assert report.total_violations == 0
 
 
 def test_violations_are_reported_for_a_false_claim(monkeypatch):

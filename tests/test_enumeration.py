@@ -7,25 +7,40 @@ import closurespaces as cs
 import oracles
 from closurespaces import _kernels, enumeration
 
+BUDGET = 200_000
+
+
+def _stream(n, cls, budget=BUDGET):
+    """Every table of the class as a tuple, in stream order."""
+    return [
+        tuple(row)
+        for chunk in enumeration.iter_table_chunks(n, cls, budget)
+        for row in chunk.tolist()
+    ]
+
+
+def _spaces(tables, n):
+    return [cs.make_space(cs.ground(n), table) for table in tables]
+
 
 def test_all_stream_count_n2():
-    assert sum(1 for _ in cs.enumerate_spaces(2, "all")) == 256
+    assert len(_stream(2, "all")) == 256
     assert cs.class_size(2, "all") == 256
 
 
 def test_all_stream_is_lexicographic_and_complete():
-    seen = [sp.table for sp in cs.enumerate_spaces(2, "all")]
+    seen = _stream(2, "all")
     expected = [tuple(t) for t in itertools.product(range(4), repeat=4)]
     assert seen == expected
 
 
 def test_isotonic_count_n2_against_filter_oracle():
     by_filter = []
-    for sp in cs.enumerate_spaces(2, "all"):
+    for sp in _spaces(_stream(2, "all"), 2):
         universe, cl = oracles.from_space(sp)
         if oracles.isotonic(universe, cl):
             by_filter.append(sp.table)
-    stream = [sp.table for sp in cs.enumerate_spaces(2, "isotonic")]
+    stream = _stream(2, "isotonic")
     assert len(stream) == 36
     assert sorted(stream) == sorted(by_filter)
     assert stream == sorted(stream)
@@ -54,11 +69,11 @@ def test_isotonic_count_n3():
 def test_extsep_stream_matches_filter_oracle():
     for n in (1, 2):
         by_filter = set()
-        for sp in cs.enumerate_spaces(n, "all"):
+        for sp in _spaces(_stream(n, "all"), n):
             universe, cl = oracles.from_space(sp)
             if oracles.exterior_separated(universe, cl):
                 by_filter.add(sp.table)
-        stream = [sp.table for sp in cs.enumerate_spaces(n, "exterior_separated")]
+        stream = _stream(n, "exterior_separated")
         assert set(stream) == by_filter
         assert len(stream) == len(by_filter) == cs.class_size(n, "exterior_separated")
     assert cs.class_size(1, "exterior_separated") == 4
@@ -83,25 +98,25 @@ def test_extsep_count_matches_literal_count():
 
 
 def test_filtered_classes_are_exact():
-    for sp in cs.enumerate_spaces(2, "isotonic_pointwise_symmetric"):
+    for sp in _spaces(_stream(2, "isotonic_pointwise_symmetric"), 2):
         assert cs.axiom_profile(sp).isotonic
         assert cs.symmetry_profile(sp).pointwise_symmetric
-    for sp in cs.enumerate_spaces(2, "enlarging_isotonic"):
+    for sp in _spaces(_stream(2, "enlarging_isotonic"), 2):
         prof = cs.axiom_profile(sp)
         assert prof.isotonic and prof.enlarging
 
 
 def test_stream_determinism():
-    first = [sp.table for sp in cs.enumerate_spaces(2, "isotonic")]
-    second = [sp.table for sp in cs.enumerate_spaces(2, "isotonic")]
+    first = _stream(2, "isotonic")
+    second = _stream(2, "isotonic")
     assert first == second
 
 
 def test_universe_too_large():
     with pytest.raises(cs.UniverseTooLarge):
-        list(cs.enumerate_spaces(3, "all"))
+        _stream(3, "all")
     with pytest.raises(cs.UniverseTooLarge):
-        list(cs.enumerate_spaces(4, "isotonic"))
+        _stream(4, "isotonic")
     # the n=3 full universe opens up behind an explicit budget
     chunks = enumeration.iter_table_chunks(3, "all", budget=8**8)
     first = next(chunks)
@@ -111,39 +126,43 @@ def test_universe_too_large():
 
 def test_unknown_class():
     with pytest.raises(enumeration.UnknownClass):
-        list(cs.enumerate_spaces(2, "open"))
+        _stream(2, "open")
+
+
+def _samples(n, cls, count, seed):
+    return _spaces(enumeration.sample_tables(n, cls, count, seed).tolist(), n)
 
 
 def test_sample_spaces_deterministic_and_exact():
     for cls in cs.CLASSES:
-        a = [sp.table for sp in cs.sample_spaces(2, cls, 25, seed=1)]
-        b = [sp.table for sp in cs.sample_spaces(2, cls, 25, seed=1)]
-        c = [sp.table for sp in cs.sample_spaces(2, cls, 25, seed=2)]
+        a = [sp.table for sp in _samples(2, cls, 25, seed=1)]
+        b = [sp.table for sp in _samples(2, cls, 25, seed=1)]
+        c = [sp.table for sp in _samples(2, cls, 25, seed=2)]
         assert a == b
         assert len(a) == 25
         assert a != c  # almost surely; seeds must matter
 
 
 def test_sample_spaces_class_membership_n4():
-    for sp in cs.sample_spaces(4, "isotonic", 40, seed=7):
+    for sp in _samples(4, "isotonic", 40, seed=7):
         assert cs.axiom_profile(sp).isotonic
-    for sp in cs.sample_spaces(4, "exterior_separated", 40, seed=7):
+    for sp in _samples(4, "exterior_separated", 40, seed=7):
         assert cs.symmetry_profile(sp).exterior_separated
-    for sp in cs.sample_spaces(4, "isotonic_pointwise_symmetric", 10, seed=7):
+    for sp in _samples(4, "isotonic_pointwise_symmetric", 10, seed=7):
         assert cs.axiom_profile(sp).isotonic
         assert cs.symmetry_profile(sp).pointwise_symmetric
-    for sp in cs.sample_spaces(4, "enlarging_isotonic", 40, seed=7):
+    for sp in _samples(4, "enlarging_isotonic", 40, seed=7):
         prof = cs.axiom_profile(sp)
         assert prof.isotonic and prof.enlarging
     with pytest.raises(cs.UniverseTooLarge):
-        list(cs.sample_spaces(5, "all", 1, seed=0))
+        enumeration.sample_tables(5, "all", 1, seed=0)
 
 
 @pytest.mark.parametrize("cls", cs.CLASSES)
 def test_samples_cover_exactly_the_enumerated_class_n2(cls):
     # catches sampled non-members and class members the sampler never draws
     sampled = {tuple(row) for row in enumeration.sample_tables(2, cls, 5000, seed=3).tolist()}
-    assert sampled == {sp.table for sp in cs.enumerate_spaces(2, cls)}
+    assert sampled == set(_stream(2, cls))
 
 
 _ORACLE_MEMBERSHIP = {
@@ -158,7 +177,7 @@ _ORACLE_MEMBERSHIP = {
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("cls", cs.CLASSES)
 def test_sampled_tables_pass_the_oracle_predicates(cls, n):
-    for sp in cs.sample_spaces(n, cls, 30, seed=n):
+    for sp in _samples(n, cls, 30, seed=n):
         universe, cl = oracles.from_space(sp)
         for predicate in _ORACLE_MEMBERSHIP[cls]:
             assert predicate(universe, cl)
@@ -180,19 +199,82 @@ def test_isotonic_samples_match_the_literal_assembly(cls, n):
         assert got.tolist() == _LITERAL_SAMPLES[cls](n, 40, seed)
 
 
-def test_enumerate_maps_counts(d2, p1):
-    p3 = cs.make_space(cs.ground(3), [0] * 8)
-    assert sum(1 for _ in cs.enumerate_maps(d2, d2)) == 4
-    assert sum(1 for _ in cs.enumerate_maps(p1, p3)) == 3
-    assert sum(1 for _ in cs.enumerate_maps(p3, d2)) == 8
+def test_no_generator_calls_a_kernel(monkeypatch):
+    # every class is assembled directly, never filtered through a kernel
+    def refuse(name):
+        raise AssertionError(f"generator called the {name} kernel")
+
+    monkeypatch.setattr(_kernels, "kernel", refuse)
+    for fn in vars(enumeration).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()  # so nothing is served from an earlier build
+    for n in (1, 2, 3):
+        for cls in cs.CLASSES:
+            for load in enumeration.chunk_loaders(n, cls, 8**8):
+                load()
+    for n in (3, 4):
+        for cls in cs.CLASSES:
+            assert enumeration.sample_tables(n, cls, 50, seed=n).shape == (50, 1 << n)
+
+
+@pytest.mark.parametrize("cls", cs.CLASSES)
+def test_class_size_is_exact_for_every_class(cls):
+    for n in (1, 2, 3):
+        size = cs.class_size(n, cls)
+        assert type(size) is int
+        if (cls, n) != ("all", 3):
+            assert size == len(_stream(n, cls))
+    size = cs.class_size(4, cls)
+    assert type(size) is int
+    expected = {
+        "all": 16**16,
+        "isotonic": 168**4,
+        "isotonic_pointwise_symmetric": 240_496_704,
+        "enlarging_isotonic": 160_000,
+        "exterior_separated": 290_507_588_066_992,
+    }
+    assert size == expected[cls]
+
+
+@pytest.mark.parametrize("cls", ["isotonic", "isotonic_pointwise_symmetric", "enlarging_isotonic"])
+def test_class_size_refuses_n5_before_building_the_up_sets(cls):
+    # filtering the 2**32 up-set candidates at n = 5 would take a 32 GiB array
     with pytest.raises(cs.UniverseTooLarge):
-        list(cs.enumerate_maps(d2, d2, budget=3))
+        cs.class_size(5, cls)
 
 
-def test_enumerate_maps_are_total_and_lexicographic(d2):
-    maps = list(cs.enumerate_maps(d2, d2))
-    assert [m.assignment for m in maps] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for m in maps:
+@pytest.mark.parametrize("n,per_table", [(2, 2000), (3, 200)])
+def test_pointwise_symmetric_sampler_is_uniform(n, per_table):
+    # per_table draws per class member on average; a fixed seed, so the
+    # bound of 5 standard deviations sqrt(per_table) is a fixed outcome
+    tables = _stream(n, "isotonic_pointwise_symmetric")
+    assert len(tables) == {2: 18, 3: 1736}[n]
+    draws = enumeration.sample_tables(
+        n, "isotonic_pointwise_symmetric", len(tables) * per_table, seed=11
+    )
+    # a table's number in the lexicographic all-tables universe
+    size = 1 << n
+    weights = size ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    seen, counts = np.unique(draws @ weights, return_counts=True)
+    assert seen.tolist() == (np.array(tables) @ weights).tolist()
+    assert np.abs(counts - per_table).max() <= 5 * per_table**0.5
+
+
+def test_all_assignments_counts():
+    assert enumeration.all_assignments(2, 2).shape == (4, 2)
+    assert enumeration.all_assignments(1, 3).shape == (3, 1)
+    assert enumeration.all_assignments(3, 2).shape == (8, 3)
+
+
+def test_all_assignments_are_total_and_lexicographic(d2):
+    # the order in which the hunts try maps, hence which witness comes first
+    rows = [tuple(r) for r in enumeration.all_assignments(2, 2).tolist()]
+    assert rows == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [tuple(r) for r in enumeration.all_assignments(3, 2).tolist()] == list(
+        itertools.product(range(2), repeat=3)
+    )
+    for row in rows:
+        m = cs.make_map(d2, d2, row)
         assert m.domain is d2 and m.codomain is d2
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import closurespaces as cs
 import oracles
+from closurespaces import enumeration
 
 from test_core import spaces
 
@@ -174,9 +175,15 @@ def test_every_relation_matches_oracles(n):
         assert {to_set(a): to_set(c) for a, c in enumerate(rebuilt.table)} == expected
 
 
+def _class_spaces(n, cls):
+    for chunk in enumeration.iter_table_chunks(n, cls, 200_000):
+        for table in chunk.tolist():
+            yield cs.make_space(cs.ground(n), table)
+
+
 def test_separated_pairs_downward_closed_on_isotonic_spaces():
     # shrinking either member of a separated pair keeps it separated
-    for sp in cs.enumerate_spaces(2, "isotonic"):
+    for sp in _class_spaces(2, "isotonic"):
         assert cs.check_relation_conditions(cs.separated_pairs(sp)).condition1
 
 
@@ -186,7 +193,7 @@ def test_roundtrip_ok(d2, c2):
 
 
 def test_roundtrip_holds_on_small_isotonic_pws_spaces():
-    for sp in cs.enumerate_spaces(2, "isotonic_pointwise_symmetric"):
+    for sp in _class_spaces(2, "isotonic_pointwise_symmetric"):
         assert cs.roundtrip_ok(sp)
 
 
