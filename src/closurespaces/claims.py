@@ -6,16 +6,25 @@ predicate definitionally through the batch kernels (or the plain library
 functions for the slow audit predicates), so no claim is checked by the
 implication it states.
 
+One evaluator, :func:`_violations`, serves sweeps and hunts over spaces and
+maps: on a block of instances it counts the (instance, implication) pairs
+whose hypothesis holds and whose conclusions do not all hold, and gives the
+witnesses of the first k in sweep order (instance by instance, implications
+in catalog order).  A hunt reads its negative claim as the implication it
+denies and evaluates the lexicographic prefix its budget affords, k = 1.
+
 Sweeps are exhaustive when the universe fits the evaluation budget (a count
 of subset-pair predicate evaluations, 4**n per space or map instance) and
 seeded samples otherwise; that choice, with its budget check, is made before
-any chunk is loaded.  Chunks of the universe are then independent jobs on a
-thread pool, merged in chunk order, so reports are identical for any worker
-count.  Each job loads its own tables: a chunk of class 'all' is decoded from
-its block of the lexicographic universe by the pool thread that evaluates it,
-and a chunk of a cached or sampled universe is a slice of an array already in
-memory.  A job returns only counts and capped witnesses, so the decoded
-tables in memory stay within workers x chunk size, whatever the universe.
+any table is loaded.  Chunks of the universe are then independent jobs on a
+thread pool, merged in chunk order; a report keeps the first VIOLATION_CAP
+witnesses in sweep order, sorted canonically, so it is identical for any
+worker count and chunk size.  Each job loads its own tables: a chunk of
+class 'all' is decoded from its block of the lexicographic universe by the
+pool thread that evaluates it, and a chunk of a cached or sampled universe
+is a slice of an array already in memory.  A job returns only counts and
+capped witnesses, so the decoded tables in memory stay within workers x
+chunk size, whatever the universe.
 """
 
 from __future__ import annotations
@@ -23,31 +32,37 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import _kernels, formats
 from .core import (
+    AxiomProfile,
     ClosureSpaceError,
     Space,
+    SymmetryProfile,
     axiom_profile,
     ground,
     symmetry_profile,
 )
 from .enumeration import (
+    _STREAM_MAX_N,
     SAMPLE_MAX_N,
     UniverseTooLarge,
     all_assignments,
     all_tables_block,
     chunk_loaders,
+    class_size,
     sample_tables,
     slice_loaders,
 )
-from .maps import make_map
+from .maps import MapProfile, make_map
 from .separation import (
     ConditionsViolated,
+    RelationCriteria,
     SeparationRelation,
     closure_from_relation,
     make_relation,
@@ -66,13 +81,13 @@ class UnknownClaim(ClosureSpaceError):
 
 
 class InvalidSweepArgument(ClosureSpaceError):
-    """Carrier size, budget or worker count below 1."""
+    """Carrier size, budget or worker count below 1, or a negative hunt budget."""
 
 
-def _require_positive(**values: int) -> None:
+def _require_at_least(low: int, **values: int) -> None:
     for name, value in values.items():
-        if value < 1:
-            raise InvalidSweepArgument(f"{name} must be at least 1, got {value}")
+        if value < low:
+            raise InvalidSweepArgument(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -348,11 +363,17 @@ NEGATIVE_CATALOG: dict[str, NegativeClaim] = {
 # predicate evaluation over table chunks
 # ---------------------------------------------------------------------------
 
-# the predicates each kernel flags, in column order
+
+def _names(profile: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(profile))
+
+
+# the predicates each kernel flags, in column order; a kernel that computes a
+# library profile flags its fields
 _KERNEL_FLAGS = {
-    "axiom_flags": ("grounded", "isotonic", "enlarging", "idempotent", "sublinear"),
-    "symmetry_flags": ("pointwise_symmetric", "r0", "exterior_separated"),
-    "criteria_flags": ("grounded_crit", "enlarging_crit", "sublinear_crit", "idempotent_sufficient"),
+    "axiom_flags": _names(AxiomProfile),
+    "symmetry_flags": _names(SymmetryProfile),
+    "criteria_flags": _names(RelationCriteria),
     "formula_flags": ("reconstruction_formula",),
     "roundtrip_flags": ("roundtrip_ok",),
 }
@@ -366,12 +387,7 @@ _MATCH_PAIRS = {
     "enlarging_matches_criterion": ("enlarging", "enlarging_crit"),
     "sublinear_matches_criterion": ("sublinear", "sublinear_crit"),
 }
-MAP_PREDICATES = {
-    "closure_preserving": 0,
-    "continuous": 1,
-    "nonseparating": 2,
-    "preimage_separating": 3,
-}
+MAP_PREDICATES = {name: column for column, name in enumerate(_names(MapProfile))}
 
 
 class _SpaceColumns:
@@ -410,26 +426,14 @@ class _SpaceColumns:
         # fast isotonicity against the all-pairs sweep, and the kernel flags
         # against the plain per-space library evaluation
         ax = self._flags("axiom_flags")
-        sym = self._flags("symmetry_flags")
-        alldef = self._flags("isotonic_all_pairs")[:, 0]
-        ok = ax[:, 1] == alldef
+        ok = ax[:, 1] == self._flags("isotonic_all_pairs")[:, 0]
+        ax_rows = (ax == 1).tolist()
+        sym_rows = (self._flags("symmetry_flags") == 1).tolist()
         g = ground(self.n)
-        for i in range(self.tables.shape[0]):
-            sp = Space(g, tuple(int(v) for v in self.tables[i]))
-            prof = axiom_profile(sp)
-            symm = symmetry_profile(sp)
-            expected = (
-                prof.grounded,
-                prof.isotonic,
-                prof.enlarging,
-                prof.idempotent,
-                prof.sublinear,
-            )
-            got = tuple(bool(v) for v in ax[i])
-            s_expected = (symm.pointwise_symmetric, symm.r0, symm.exterior_separated)
-            s_got = tuple(bool(v) for v in sym[i])
-            if expected != got or s_expected != s_got:
-                ok[i] = False
+        for i, row in enumerate(self.tables.tolist()):
+            sp = Space(g, tuple(row))
+            same = axiom_profile(sp) == AxiomProfile(*ax_rows[i])
+            ok[i] &= same and symmetry_profile(sp) == SymmetryProfile(*sym_rows[i])
         return ok
 
 
@@ -443,6 +447,71 @@ def _map_witness(nx: int, ny: int, tx_row, ty_row, assignment) -> dict:
     spy = Space(ground(ny), tuple(int(v) for v in ty_row))
     mp = make_map(spx, spy, tuple(int(v) for v in assignment))
     return {"kind": "map", "nx": nx, "ny": ny, "map": formats.map_document(mp)}
+
+
+def _violations(shape: tuple, get: Callable, implications, witness: Callable, k: int):
+    """Evaluate implications on a block of instances indexed by ``shape``.
+
+    ``get`` gives a named predicate's column over the block (broadcastable
+    to ``shape``) and ``witness`` the document of the instance at an index.
+    Returns the number of (instance, implication) pairs whose hypothesis
+    holds and whose conclusions do not all hold, and the witnesses of the
+    first k of them in sweep order: instance by instance, each instance's
+    implications in the order given.
+    """
+
+    def holds(names: tuple[str, ...]) -> np.ndarray:
+        mask = np.ones(shape, bool)
+        for name in names:
+            mask &= get(name)
+        return mask
+
+    bad = np.stack([holds(i.hypothesis) & ~holds(i.conclusion) for i in implications], axis=-1)
+    total = int(np.count_nonzero(bad))
+    hits = np.argwhere(bad)[:k] if total else ()
+    return total, [witness(*index[:-1]) for index in hits]
+
+
+def _space_block(n: int, implications, k: int, tables: np.ndarray):
+    """:func:`_violations` over the spaces of a table block."""
+    cols = _SpaceColumns(tables, n)
+    return _violations(
+        tables.shape[:1], cols.get, implications, lambda i: _space_witness(n, tables[i]), k
+    )
+
+
+def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callable:
+    """:func:`_violations` over the maps from a domain table block to the
+    codomain tables ``ty``, as a function of the block.
+
+    The instances are ordered by domain table, codomain table, then
+    assignment (lexicographic).  A ``domain_`` or ``codomain_`` name is the
+    space predicate of that side, lifted onto its maps.
+    """
+    fmaps = all_assignments(nx, ny)
+    imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
+    map_flags = _kernels.kernel("map_flags")
+    y_cols = _SpaceColumns(ty, ny)
+
+    def evaluate(tx: np.ndarray) -> tuple[int, list[dict]]:
+        out = map_flags(tx, ty, imgs, pres, nx, ny)
+        x_cols = _SpaceColumns(tx, nx)
+
+        def get(name: str) -> np.ndarray:
+            if name in MAP_PREDICATES:
+                return out[..., MAP_PREDICATES[name]] == 1
+            if name.startswith("domain_"):
+                return x_cols.get(name.removeprefix("domain_"))[:, None, None]
+            if name.startswith("codomain_"):
+                return y_cols.get(name.removeprefix("codomain_"))[None, :, None]
+            raise UnknownClaim(f"unknown map predicate: {name!r}")
+
+        def witness(i: int, j: int, f: int) -> dict:
+            return _map_witness(nx, ny, tx[i], ty[j], fmaps[f])
+
+        return _violations(out.shape[:3], get, implications, witness, k)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +542,29 @@ def _class_chunks(
         return slice_loaders(tables, _CHUNK), False
 
 
+def _sweep(
+    report, loaders: list, evaluate: Callable, per_row: int, workers: int, exhaustive: bool
+) -> None:
+    """Evaluate each loader's block as one pool job, ``per_row`` instances
+    per row, and merge the jobs' counts and witnesses, as :func:`_violations`
+    returns them, into ``report`` in job order, keeping the first
+    VIOLATION_CAP witnesses in sweep order."""
+
+    def job(load: Callable[[], np.ndarray]) -> tuple[int, int, list[dict]]:
+        block = load()
+        return (block.shape[0] * per_row, *evaluate(block))
+
+    for checked, total, witnesses in _run_ordered(loaders, job, workers):
+        report.instances_checked += checked
+        report.total_violations += total
+        report.violations.extend(witnesses[: VIOLATION_CAP - len(report.violations)])
+    report.exhaustive = report.exhaustive and exhaustive
+
+
 def _verify_space_claim(
     claim: Claim, n: int, budget: int, seed: int, workers: int
 ) -> VerificationReport:
-    cost = max(1, 4**n)
-    table_budget = max(1, budget // cost)
+    table_budget = max(1, budget // 4**n)
     report = VerificationReport(claim.id, n, 0)
 
     groups: dict[str, list[SpaceImplication]] = {}
@@ -486,51 +573,9 @@ def _verify_space_claim(
 
     for gi, (universe, impls) in enumerate(groups.items()):
         loaders, exhaustive = _class_chunks(n, universe, table_budget, seed + gi)
-
-        def eval_chunk(load: Callable[[], np.ndarray]) -> tuple[int, int, list[dict]]:
-            tables = load()
-            cols = _SpaceColumns(tables, n)
-            viols: list[dict] = []
-            total = 0
-            for impl in impls:
-                mask = np.ones(tables.shape[0], bool)
-                for name in impl.hypothesis:
-                    mask &= cols.get(name)
-                concl = np.ones(tables.shape[0], bool)
-                for name in impl.conclusion:
-                    concl &= cols.get(name)
-                bad = np.flatnonzero(mask & ~concl)
-                total += bad.size
-                for i in bad[:VIOLATION_CAP]:
-                    viols.append(_space_witness(n, tables[i]))
-            return tables.shape[0], total, viols
-
-        for checked, vtotal, viols in _run_ordered(loaders, eval_chunk, workers):
-            report.instances_checked += checked
-            report.total_violations += vtotal
-            report.violations.extend(viols)
-        report.exhaustive = report.exhaustive and exhaustive
-
-    report.violations.sort(key=_canonical_key)
-    report.violations = report.violations[:VIOLATION_CAP]
+        evaluate = partial(_space_block, n, impls, VIOLATION_CAP)
+        _sweep(report, loaders, evaluate, 1, workers, exhaustive)
     return report
-
-
-def _map_hyp_columns(
-    name: str,
-    out: np.ndarray,
-    x_cols: _SpaceColumns,
-    y_cols: _SpaceColumns,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    if name in MAP_PREDICATES:
-        return out[:, :, :, MAP_PREDICATES[name]] == 1
-    if name.startswith("domain_"):
-        return x_cols.get(name.removeprefix("domain_"))[lo:hi, None, None]
-    if name.startswith("codomain_"):
-        return y_cols.get(name.removeprefix("codomain_"))[None, :, None]
-    raise UnknownClaim(f"unknown map predicate: {name!r}")
 
 
 def _verify_map_claim(
@@ -540,10 +585,8 @@ def _verify_map_claim(
         # no universe at such n is sampled or within reach of a full sweep,
         # so fail before the n**n assignments are enumerated
         raise UniverseTooLarge(f"map claims are limited to n <= {SAMPLE_MAX_N}, got {n}")
-    cost = max(1, 4**n)
-    fmaps = all_assignments(n, n)
-    fcount = fmaps.shape[0]
-    imgs, pres = _kernels.build_map_tables(fmaps, n, n)
+    cost = 4**n
+    fcount = n**n
     report = VerificationReport(claim.id, n, 0)
 
     groups: dict[tuple[str, str], list[MapImplication]] = {}
@@ -551,53 +594,26 @@ def _verify_map_claim(
         groups.setdefault((impl.domain_class, impl.codomain_class), []).append(impl)
 
     for gi, ((cls_x, cls_y), impls) in enumerate(groups.items()):
-        table_budget = max(1, budget // cost)
-        x_loaders, ex_x = _class_chunks(n, cls_x, table_budget, seed + 101 * gi)
-        y_loaders, ex_y = _class_chunks(n, cls_y, table_budget, seed + 101 * gi + 1)
-        tx = np.concatenate([load() for load in x_loaders])
-        ty = np.concatenate([load() for load in y_loaders])
-        exhaustive = ex_x and ex_y
-
-        instances = tx.shape[0] * ty.shape[0] * fcount
-        if instances * cost > budget:
+        # decided from the class sizes alone, before any table is loaded: a
+        # map sweep holds both universes in memory, which only the streams
+        # up to n = 3 allow
+        exhaustive = (
+            n <= _STREAM_MAX_N
+            and class_size(n, cls_x) * class_size(n, cls_y) * fcount * cost <= budget
+        )
+        if exhaustive:
+            tx, ty = (
+                np.concatenate([load() for load in chunk_loaders(n, cls, budget)])
+                for cls in (cls_x, cls_y)
+            )
+        else:
             side = max(1, min(MAP_SAMPLE_CAP, int((budget // (cost * fcount)) ** 0.5)))
             tx = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
             ty = sample_tables(n, cls_y, side, seed + 101 * gi + 3)
-            exhaustive = False
-
-        x_cols = _SpaceColumns(tx, n)
-        y_cols = _SpaceColumns(ty, n)
-        kernel = _kernels.kernel("map_flags")
-
-        block = max(1, _CHUNK // max(1, ty.shape[0] * fcount))
-        ranges = [(lo, min(lo + block, tx.shape[0])) for lo in range(0, tx.shape[0], block)]
-
-        def eval_range(rng: tuple[int, int]) -> tuple[int, int, list[dict]]:
-            lo, hi = rng
-            out = kernel(tx[lo:hi], ty, imgs, pres, n, n)
-            viols: list[dict] = []
-            total = 0
-            for impl in impls:
-                mask = np.ones(out.shape[:3], bool)
-                for name in impl.hypothesis:
-                    mask = mask & _map_hyp_columns(name, out, x_cols, y_cols, lo, hi)
-                concl = np.ones(out.shape[:3], bool)
-                for name in impl.conclusion:
-                    concl = concl & _map_hyp_columns(name, out, x_cols, y_cols, lo, hi)
-                bad = np.argwhere(mask & ~concl)
-                total += bad.shape[0]
-                for i, j, k in bad[:VIOLATION_CAP]:
-                    viols.append(_map_witness(n, n, tx[lo + i], ty[j], fmaps[k]))
-            return (hi - lo) * ty.shape[0] * fcount, total, viols
-
-        for checked, vtotal, viols in _run_ordered(ranges, eval_range, workers):
-            report.instances_checked += checked
-            report.total_violations += vtotal
-            report.violations.extend(viols)
-        report.exhaustive = report.exhaustive and exhaustive
-
-    report.violations.sort(key=_canonical_key)
-    report.violations = report.violations[:VIOLATION_CAP]
+        per_x = ty.shape[0] * fcount
+        loaders = slice_loaders(tx, max(1, _CHUNK // per_x))
+        evaluate = _map_block(n, n, ty, impls, VIOLATION_CAP)
+        _sweep(report, loaders, evaluate, per_x, workers, exhaustive)
     return report
 
 
@@ -663,8 +679,6 @@ def _verify_relation_claim(
                     {"kind": "relation", "n": n, "relation": formats.relation_document(rel)}
                 )
         report.instances_checked += 1
-
-    report.violations.sort(key=_canonical_key)
     return report
 
 
@@ -677,11 +691,13 @@ def verify_claim(
 ) -> VerificationReport:
     """Sweep one catalog claim over its universe at carrier size n.
 
-    Raises InvalidSweepArgument when n, budget or workers is below 1.
+    The report keeps the witnesses of the first VIOLATION_CAP violations in
+    sweep order, sorted canonically.  Raises InvalidSweepArgument when n,
+    budget or workers is below 1.
     """
     if claim_id not in CATALOG:
         raise UnknownClaim(f"unknown claim id: {claim_id!r}")
-    _require_positive(n=n, budget=budget, workers=workers)
+    _require_at_least(1, n=n, budget=budget, workers=workers)
     claim = CATALOG[claim_id]
     start = time.perf_counter()
     if claim.kind == "space":
@@ -690,6 +706,7 @@ def verify_claim(
         report = _verify_map_claim(claim, n, budget, seed, workers)
     else:
         report = _verify_relation_claim(claim, n, budget, seed)
+    report.violations.sort(key=_canonical_key)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -699,28 +716,25 @@ def verify_claim(
 # ---------------------------------------------------------------------------
 
 
+def _first_witness(n: int, scan: int, block: int, evaluate: Callable) -> dict | None:
+    """The first witness among the first ``scan`` tables of the lexicographic
+    universe at size n, decoded and evaluated ``block`` tables at a time."""
+    for lo in range(0, scan, block):
+        _, witnesses = evaluate(all_tables_block(n, lo, min(lo + block, scan)))
+        if witnesses:
+            return witnesses[0]
+    return None
+
+
 def _hunt_spaces(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
     spent = 0
     for n in range(1, n_max + 1):
         cost = 4**n
         size = 1 << n
-        total = size**size
-        allowed = (budget - spent) // cost
-        scan = min(total, allowed)
-        for lo in range(0, scan, _CHUNK):
-            hi = min(lo + _CHUNK, scan)
-            tables = all_tables_block(n, lo, hi)
-            cols = _SpaceColumns(tables, n)
-            mask = np.ones(tables.shape[0], bool)
-            for name in neg.hypothesis:
-                mask &= cols.get(name)
-            for name in neg.conclusion:
-                mask &= ~cols.get(name)
-            hit = np.flatnonzero(mask)
-            if hit.size:
-                witness = _space_witness(n, tables[hit[0]])
-                witness["claim"] = neg.id
-                return witness
+        scan = min(size**size, (budget - spent) // cost)
+        witness = _first_witness(n, scan, _CHUNK, partial(_space_block, n, (neg,), 1))
+        if witness is not None:
+            return witness
         spent += scan * cost
     return None
 
@@ -731,36 +745,18 @@ def _hunt_maps(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
         key=lambda p: (p[0] + p[1], p[0], p[1]),
     )
     spent = 0
-    kernel = _kernels.kernel("map_flags")
     for nx, ny in sizes:
         cost = 4 ** max(nx, ny)
-        tx_total = (1 << nx) ** (1 << nx)
         ty_total = (1 << ny) ** (1 << ny)
         per_x = ty_total * ny**nx  # codomain tables times assignments
-        allowed = (budget - spent) // max(1, cost * per_x)
-        scan = min(tx_total, allowed)
+        scan = min((1 << nx) ** (1 << nx), (budget - spent) // (cost * per_x))
         if not scan:
             # a later, smaller size pair may still fit; build nothing here
             continue
-        fmaps = all_assignments(nx, ny)
-        imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
-        ty = all_tables_block(ny, 0, ty_total)
-        block = max(1, _CHUNK // max(1, per_x))
-        for lo in range(0, scan, block):
-            hi = min(lo + block, scan)
-            tx = all_tables_block(nx, lo, hi)
-            out = kernel(tx, ty, imgs, pres, nx, ny)
-            mask = np.ones(out.shape[:3], bool)
-            for name in neg.hypothesis:
-                mask &= out[:, :, :, MAP_PREDICATES[name]] == 1
-            for name in neg.conclusion:
-                mask &= ~(out[:, :, :, MAP_PREDICATES[name]] == 1)
-            hit = np.argwhere(mask)
-            if hit.shape[0]:
-                i, j, k = hit[0]
-                witness = _map_witness(nx, ny, tx[i], ty[j], fmaps[k])
-                witness["claim"] = neg.id
-                return witness
+        evaluate = _map_block(nx, ny, all_tables_block(ny, 0, ty_total), (neg,), 1)
+        witness = _first_witness(nx, scan, max(1, _CHUNK // per_x), evaluate)
+        if witness is not None:
+            return witness
         spent += scan * per_x * cost
     return None
 
@@ -772,18 +768,22 @@ def hunt_counterexample(
     seed: int = 0,
 ) -> dict | None:
     """Search exhaustively, smallest carriers first, for a witness violating
-    the converse named by ``claim_id``.  Returns None if the budget runs out.
+    the converse named by ``claim_id``: its hypothesis holds and its
+    conclusions do not all hold.  Returns None if the budget runs out.
 
     The witness is minimal for the documented order: carrier sizes ascending
     (for maps, by nx+ny then nx), then lexicographic domain table, codomain
     table, and assignment.  ``seed`` is accepted for interface symmetry with
     verify_claim; the scan itself is deterministic.  Raises
-    InvalidSweepArgument when n_max is below 1.
+    InvalidSweepArgument when n_max is below 1 or budget below 0.
     """
     if claim_id not in NEGATIVE_CATALOG:
         raise UnknownClaim(f"unknown negative claim id: {claim_id!r}")
-    _require_positive(n_max=n_max)
+    _require_at_least(1, n_max=n_max)
+    _require_at_least(0, budget=budget)
     neg = NEGATIVE_CATALOG[claim_id]
-    if neg.kind == "space":
-        return _hunt_spaces(neg, n_max, budget)
-    return _hunt_maps(neg, n_max, budget)
+    hunt = _hunt_spaces if neg.kind == "space" else _hunt_maps
+    witness = hunt(neg, n_max, budget)
+    if witness is not None:
+        witness["claim"] = neg.id
+    return witness

@@ -1,10 +1,10 @@
 """Command-line surface over the library.
 
 Exit codes: 0 success, 1 claim violations or failed reconstruction
-conditions, 2 malformed input, unknown claim/universe, or a sweep argument
-below 1, 3 hunt exhausted its budget without a witness.  Stdout is
-byte-stable for fixed inputs and flags; timing chatter goes to stderr and is
-silenced by --quiet.
+conditions, 2 malformed input, unknown claim/universe, a sweep argument
+below 1 or a negative hunt budget, 3 hunt exhausted its budget without a
+witness.  Stdout is byte-stable for fixed inputs and flags; timing chatter
+goes to stderr and is silenced by --quiet.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import claims, formats
@@ -31,22 +32,17 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _print_profile(profile) -> None:
+    """One name=value line per field of a profile, in field order."""
+    for name, value in asdict(profile).items():
+        print(f"{name}={_bool(value)}")
+
+
 def _cmd_check(args) -> int:
     text, _ = _read(args.space)
     sp = formats.parse_space(text)
-    prof = axiom_profile(sp)
-    sym = symmetry_profile(sp)
-    for name, value in [
-        ("grounded", prof.grounded),
-        ("isotonic", prof.isotonic),
-        ("enlarging", prof.enlarging),
-        ("idempotent", prof.idempotent),
-        ("sublinear", prof.sublinear),
-        ("pointwise_symmetric", sym.pointwise_symmetric),
-        ("r0", sym.r0),
-        ("exterior_separated", sym.exterior_separated),
-    ]:
-        print(f"{name}={_bool(value)}")
+    _print_profile(axiom_profile(sp))
+    _print_profile(symmetry_profile(sp))
     return 0
 
 
@@ -88,14 +84,7 @@ def _cmd_derive(args) -> int:
 def _cmd_map_check(args) -> int:
     text, base = _read(args.map)
     mp = formats.parse_map(text, base)
-    prof = map_profile(mp)
-    for name, value in [
-        ("closure_preserving", prof.closure_preserving),
-        ("continuous", prof.continuous),
-        ("nonseparating", prof.nonseparating),
-        ("preimage_separating", prof.preimage_separating),
-    ]:
-        print(f"{name}={_bool(value)}")
+    _print_profile(map_profile(mp))
     return 0
 
 

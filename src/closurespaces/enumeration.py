@@ -38,6 +38,7 @@ test suite.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
@@ -275,7 +276,7 @@ def class_size(n: int, cls: str) -> int:
     if cls == "isotonic":
         return len(upset_families(n)) ** n
     if cls == "enlarging_isotonic":
-        return len(_enlarging_families(n)[0]) ** n
+        return math.prod(len(f) for f in _enlarging_families(n))
     if cls == "isotonic_pointwise_symmetric":
         *_, weights = _pws_parts(n)
         return int(weights.sum())

@@ -278,3 +278,77 @@ def test_equivalence_theorem_witness_has_non_extsep_codomain():
     witness = cs.hunt_counterexample("neg-ns-not-cp", n_max=2)
     mp = formats.map_from_document(witness["map"])
     assert not cs.symmetry_profile(mp.codomain).exterior_separated
+
+
+def test_witness_list_does_not_depend_on_chunk_size(monkeypatch):
+    # far more than VIOLATION_CAP violations: the report keeps the first ones
+    # in sweep order, so the chunk size may not change which
+    space = claims.Claim(
+        "bogus-grounded-enlarging",
+        "every space is grounded, and enlarging ones are isotonic (false)",
+        "space",
+        (
+            claims.SpaceImplication("all", (), ("grounded",)),
+            claims.SpaceImplication("all", ("enlarging",), ("isotonic",)),
+        ),
+    )
+    maps = claims.Claim(
+        "bogus-all-cont",
+        "every map is continuous (false)",
+        "map",
+        (claims.MapImplication("all", "all", (), ("continuous",)),),
+    )
+    for bogus in (space, maps):
+        monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
+        default = cs.verify_claim(bogus.id, 2)
+        with monkeypatch.context() as m:
+            m.setattr(claims, "_CHUNK", 16)
+            small = cs.verify_claim(bogus.id, 2, workers=2)
+        assert default.total_violations > claims.VIOLATION_CAP
+        assert small.summary() == default.summary()
+        assert small.violations == default.violations
+
+
+def test_map_sweep_decides_before_loading_a_universe(monkeypatch):
+    # the 16,777,216**2 * 27 maps between n = 3 tables are over the default
+    # budget, so the sweep draws its two 200-table samples and loads no
+    # class universe
+    calls = []
+    real_sample = claims.sample_tables
+
+    def loaders(*args, **kwargs):
+        calls.append(("chunk_loaders", args))
+        raise AssertionError("loaded a class universe")
+
+    def sample(n, cls, count, seed):
+        calls.append(("sample_tables", (n, cls, count)))
+        return real_sample(n, cls, count, seed)
+
+    monkeypatch.setattr(claims, "chunk_loaders", loaders)
+    monkeypatch.setattr(claims, "sample_tables", sample)
+    report = cs.verify_claim("thm-cp-implies-ns", 3)
+    assert calls == [("sample_tables", (3, "all", 200)), ("sample_tables", (3, "all", 200))]
+    assert report.instances_checked == 200 * 200 * 27
+    assert report.total_violations == 0 and not report.exhaustive
+
+
+def test_hunt_reads_several_conclusions_as_their_conjunction(monkeypatch):
+    # table (0, 0) is grounded but not enlarging: hypothesis true, the
+    # conjunction of the conclusions false
+    neg = claims.NegativeClaim(
+        "neg-x", "grounded and enlarging (false)", "space", (), ("grounded", "enlarging")
+    )
+    monkeypatch.setitem(claims.NEGATIVE_CATALOG, neg.id, neg)
+    witness = cs.hunt_counterexample(neg.id, n_max=1)
+    assert witness["claim"] == neg.id
+    assert formats.space_from_document(witness["space"]).table == (0, 0)
+
+
+def test_hunt_rejects_a_negative_budget(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decoded tables for a negative budget")
+
+    monkeypatch.setattr(claims, "all_tables_block", refuse)
+    for claim_id in ("neg-pws-not-extsep", "neg-ns-not-cont"):
+        with pytest.raises(cs.InvalidSweepArgument, match="budget must be at least 0"):
+            cs.hunt_counterexample(claim_id, n_max=2, budget=-1)

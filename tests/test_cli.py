@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,15 @@ def test_verify_stdout_is_byte_stable(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_stdout_matches_the_golden(capsys):
+    # every claim of the catalog at n = 1 and 2, byte for byte
+    golden = Path(__file__).parent / "goldens" / "verify-n1-n2.txt"
+    for n in (1, 2):
+        for claim_id in claims.CATALOG:
+            assert main(["--quiet", "verify", "--claim", claim_id, "--n", str(n)]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_hunt_writes_witness(tmp_path, capsys):
     out_path = tmp_path / "witness.json"
     code = main(
@@ -153,6 +163,14 @@ def test_out_of_range_sweep_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("claim_id", ["neg-pws-not-extsep", "neg-cont-not-cp"])
+def test_negative_hunt_budget_exits_2(claim_id, capsys):
+    assert main(["--quiet", "hunt", "--claim", claim_id, "--n", "2", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be at least 0, got -1" in captured.err
 
 
 def test_map_claim_beyond_sampler_exits_2_before_enumerating(monkeypatch, capsys):

@@ -236,6 +236,11 @@ def test_class_size_is_exact_for_every_class(cls):
     assert size == expected[cls]
 
 
+@pytest.mark.parametrize("cls", cs.CLASSES)
+def test_class_size_counts_the_one_empty_table_at_n0(cls):
+    assert cs.class_size(0, cls) == 1
+
+
 @pytest.mark.parametrize("cls", ["isotonic", "isotonic_pointwise_symmetric", "enlarging_isotonic"])
 def test_class_size_refuses_n5_before_building_the_up_sets(cls):
     # filtering the 2**32 up-set candidates at n = 5 would take a 32 GiB array
