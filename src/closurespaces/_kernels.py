@@ -15,11 +15,24 @@ The relation kernels hold separated pairs in the row format of
 whose bit b of ``rows[s, a]`` is set iff subsets a and b are separated in
 space s.  A row holds 2**n bits, so these kernels accept n <= MAX_ROW_N = 6;
 the sweeps stop at n = 4.
+
+Each morphism predicate of a map f: X -> Y says that cl_X(A) misses a set
+outside[A] for every A ⊆ X, and outside depends on the codomain table and
+f alone.  ``build_map_tables`` packs these sets into one bound word per
+codomain table, assignment and predicate: the nx-bit field of subset A sits
+at bit offset nx * A, so a word holds nx * 2**nx bits, which fit 64 for
+nx <= 4 (larger nx raises UniverseTooLarge).  The ``map_flags`` kernel packs
+each domain table the same way and reads predicate p as
+``(table word & bound word) == 0``.  The split lets a sweep build the bounds
+once per codomain block, then check every domain chunk against them with
+one broadcast AND.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .enumeration import UniverseTooLarge
 
 # perfbench records these and fails any run whose backend is not numpy.
 BACKEND = "numpy"
@@ -201,49 +214,42 @@ def _roundtrip_flags(tables, n):
     return ok.astype(np.uint8)
 
 
-def _map_flags(tx_block, ty, imgs, pres, nx, ny):
-    bx = tx_block.shape[0]
-    sy = ty.shape[0]
-    fcount = imgs.shape[0]
-    sizex = 1 << nx
-    sizey = 1 << ny
+def _pack_fields(fields, xs, nx, dtype):
+    # one word per row of the leading axes: fields[..., u] in the nx-bit
+    # field of subset xs[..., u], ORed over the last axis
+    shifts = (nx * xs).astype(dtype)
+    return np.bitwise_or.reduce(fields.astype(dtype) << shifts, axis=-1)
 
-    cp = np.ones((bx, sy, fcount), bool)
-    for a in range(sizex):
-        cl_a = tx_block[:, a]
-        f_cl_a = imgs[:, cl_a].T  # (bx, F)
-        im_a = imgs[:, a]  # (F,)
-        cl_y_im_a = ty[:, im_a]  # (sy, F)
-        cp &= (f_cl_a[:, None, :] & ~cl_y_im_a[None, :, :]) == 0
 
-    cont = np.ones((bx, sy, fcount), bool)
-    for b in range(sizey):
-        pre_b = pres[:, b]  # (F,)
-        cl_x_pre_b = tx_block[:, pre_b]  # (bx, F)
-        pre_cl_y_b = pres[:, ty[:, b]].T  # (sy, F)
-        cont &= (cl_x_pre_b[:, None, :] & ~pre_cl_y_b[None, :, :]) == 0
+def _closure_bound(ty, pres, ys, xs, nx, dtype):
+    # X \ f⁻¹(cl_Y(ys[f, u])) in the field of xs[f, u]
+    pre_cl = pres[np.arange(pres.shape[0])[:, None], ty[:, ys]]  # (sy, F, k)
+    return _pack_fields(~pre_cl & ((1 << nx) - 1), xs, nx, dtype)
 
-    ns = np.ones((bx, sy, fcount), bool)
-    for a in range(sizex):
-        for b in range(a, sizex):
-            ia = imgs[:, a]
-            ib = imgs[:, b]
-            sep_y = ((ia[None, :] & ty[:, ib]) == 0) & ((ty[:, ia] & ib[None, :]) == 0)
-            sep_x = ((a & tx_block[:, b]) == 0) & ((tx_block[:, a] & b) == 0)
-            ns &= ~(sep_y[None, :, :] & ~sep_x[:, None, None])
 
-    presep = np.ones((bx, sy, fcount), bool)
-    for c in range(sizey):
-        for d in range(c, sizey):
-            sep_y = ((c & ty[:, d]) == 0) & ((ty[:, c] & d) == 0)  # (sy,)
-            pc = pres[:, c]
-            pd = pres[:, d]
-            sep_x = ((pc[None, :] & tx_block[:, pd]) == 0) & (
-                (tx_block[:, pc] & pd[None, :]) == 0
-            )  # (bx, F)
-            presep &= ~(sep_y[None, :, None] & ~sep_x[:, None, :])
+def _separation_bound(rows, ys, xs, nx, dtype):
+    # xs[f, v] in the field of xs[f, u], for every pair (u, v) whose
+    # codomain sets ys[f, u] and ys[f, v] are separated in Y
+    fields = np.stack(
+        [
+            np.bitwise_or.reduce((rows[:, ys[:, u], None] >> ys & 1) * xs, axis=-1)
+            for u in range(ys.shape[1])
+        ],
+        axis=-1,
+    )
+    return _pack_fields(fields, xs, nx, dtype)
 
-    return np.stack([cp, cont, ns, presep], axis=-1).astype(np.uint8)
+
+def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
+    # predicate p of map (i, j, f) holds iff the word of table i misses the
+    # bound word bounds[j, f, p]; ny only names the size pair
+    if bounds.shape != (ty.shape[0], fmaps.shape[0], 4):
+        raise ValueError(
+            f"bounds of shape {bounds.shape} do not cover {ty.shape[0]} codomain "
+            f"tables and {fmaps.shape[0]} assignments"
+        )
+    words = _pack_fields(tx_block, np.arange(1 << nx), nx, bounds.dtype)
+    return ((words[:, None, None, None] & bounds) == 0).astype(np.uint8)
 
 
 _KERNELS = {
@@ -262,25 +268,36 @@ def kernel(name: str):
     return _KERNELS[name]
 
 
-def build_map_tables(fmaps: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    """Image and preimage lookup tables for a batch of assignments."""
-    fcount = fmaps.shape[0]
-    sizex = 1 << nx
-    sizey = 1 << ny
-    imgs = np.zeros((fcount, sizex), np.int64)
-    pres = np.zeros((fcount, sizey), np.int64)
-    for k in range(fcount):
-        f = fmaps[k]
-        for a in range(sizex):
-            m = 0
-            for x in range(nx):
-                if (a >> x) & 1:
-                    m |= 1 << f[x]
-            imgs[k, a] = m
-        for b in range(sizey):
-            m = 0
-            for x in range(nx):
-                if (b >> f[x]) & 1:
-                    m |= 1 << x
-            pres[k, b] = m
-    return imgs, pres
+def build_map_tables(ty: np.ndarray, fmaps: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Bound words of the maps from nx points into the codomain tables ``ty``
+    under the assignments ``fmaps``, an array of shape (len(ty), len(fmaps), 4)
+    with one column per morphism predicate, in ``MapProfile`` field order.
+    The field of A ⊆ X in each word is the set cl_X(A) must miss:
+
+    * closure-preserving: the complement of f⁻¹(cl_Y(f(A)));
+    * continuous: the complement of f⁻¹(cl_Y(B)), ORed over every B with
+      f⁻¹(B) = A;
+    * nonseparating: every B ⊆ X such that f(A) and f(B) are separated in Y;
+    * preimage-separating: f⁻¹(D), ORed over every separated pair (C, D)
+      of Y with f⁻¹(C) = A.
+
+    Raises UniverseTooLarge when the nx * 2**nx bits of a word exceed 64."""
+    if nx << nx > 64:
+        raise UniverseTooLarge(f"a map bound word of {nx} * 2**{nx} bits does not fit 64 bits")
+    dtype = np.min_scalar_type((1 << (nx << nx)) - 1)
+    points = np.arange(nx)
+    # xs[f, a] = A and ys[f, b] = B; imgs[f, a] = f(A) and pres[f, b] = f⁻¹(B)
+    xs = np.broadcast_to(np.arange(1 << nx), (fmaps.shape[0], 1 << nx))
+    ys = np.broadcast_to(np.arange(1 << ny), (fmaps.shape[0], 1 << ny))
+    imgs = np.bitwise_or.reduce((xs[..., None] >> points & 1) << fmaps[:, None, :], axis=-1)
+    pres = np.bitwise_or.reduce((ys[..., None] >> fmaps[:, None, :] & 1) << points, axis=-1)
+    rows = _separation_rows(ty, ny)
+    return np.stack(
+        [
+            _closure_bound(ty, pres, imgs, xs, nx, dtype),
+            _closure_bound(ty, pres, ys, pres, nx, dtype),
+            _separation_bound(rows, imgs, xs, nx, dtype),
+            _separation_bound(rows, ys, pres, nx, dtype),
+        ],
+        axis=-1,
+    )

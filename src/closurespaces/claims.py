@@ -23,8 +23,9 @@ worker count and chunk size.  Each job loads its own tables: a chunk of
 class 'all' is decoded from its block of the lexicographic universe by the
 pool thread that evaluates it, and a chunk of a cached or sampled universe
 is a slice of an array already in memory.  A job returns only counts and
-capped witnesses, so the decoded tables in memory stay within workers x
-chunk size, whatever the universe.
+capped deferred witnesses, copies of the rows they name, so the decoded
+tables in memory stay within workers x chunk size, whatever the universe;
+the merge formats only the witnesses the report keeps.
 """
 
 from __future__ import annotations
@@ -453,11 +454,12 @@ def _violations(shape: tuple, get: Callable, implications, witness: Callable, k:
     """Evaluate implications on a block of instances indexed by ``shape``.
 
     ``get`` gives a named predicate's column over the block (broadcastable
-    to ``shape``) and ``witness`` the document of the instance at an index.
+    to ``shape``) and ``witness`` the deferred witness of the instance at an
+    index: a call that formats its document, holding copies of its rows.
     Returns the number of (instance, implication) pairs whose hypothesis
-    holds and whose conclusions do not all hold, and the witnesses of the
-    first k of them in sweep order: instance by instance, each instance's
-    implications in the order given.
+    holds and whose conclusions do not all hold, and the deferred witnesses
+    of the first k of them in sweep order: instance by instance, each
+    instance's implications in the order given.
     """
 
     def holds(names: tuple[str, ...]) -> np.ndarray:
@@ -474,10 +476,11 @@ def _violations(shape: tuple, get: Callable, implications, witness: Callable, k:
 
 def _space_block(n: int, implications, k: int, tables: np.ndarray):
     """:func:`_violations` over the spaces of a table block."""
-    cols = _SpaceColumns(tables, n)
-    return _violations(
-        tables.shape[:1], cols.get, implications, lambda i: _space_witness(n, tables[i]), k
-    )
+
+    def witness(i: int) -> Callable[[], dict]:
+        return partial(_space_witness, n, tables[i].copy())
+
+    return _violations(tables.shape[:1], _SpaceColumns(tables, n).get, implications, witness, k)
 
 
 def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callable:
@@ -485,16 +488,18 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
     codomain tables ``ty``, as a function of the block.
 
     The instances are ordered by domain table, codomain table, then
-    assignment (lexicographic).  A ``domain_`` or ``codomain_`` name is the
-    space predicate of that side, lifted onto its maps.
+    assignment (lexicographic).  The bound words of ``ty`` are built once,
+    here, and every domain block is checked against them.  A ``domain_`` or
+    ``codomain_`` name is the space predicate of that side, lifted onto its
+    maps.
     """
     fmaps = all_assignments(nx, ny)
-    imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
+    bounds = _kernels.build_map_tables(ty, fmaps, nx, ny)
     map_flags = _kernels.kernel("map_flags")
     y_cols = _SpaceColumns(ty, ny)
 
-    def evaluate(tx: np.ndarray) -> tuple[int, list[dict]]:
-        out = map_flags(tx, ty, imgs, pres, nx, ny)
+    def evaluate(tx: np.ndarray) -> tuple[int, list[Callable[[], dict]]]:
+        out = map_flags(tx, ty, fmaps, bounds, nx, ny)
         x_cols = _SpaceColumns(tx, nx)
 
         def get(name: str) -> np.ndarray:
@@ -506,8 +511,8 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
                 return y_cols.get(name.removeprefix("codomain_"))[None, :, None]
             raise UnknownClaim(f"unknown map predicate: {name!r}")
 
-        def witness(i: int, j: int, f: int) -> dict:
-            return _map_witness(nx, ny, tx[i], ty[j], fmaps[f])
+        def witness(i: int, j: int, f: int) -> Callable[[], dict]:
+            return partial(_map_witness, nx, ny, tx[i].copy(), ty[j].copy(), fmaps[f].copy())
 
         return _violations(out.shape[:3], get, implications, witness, k)
 
@@ -546,18 +551,18 @@ def _sweep(
     report, loaders: list, evaluate: Callable, per_row: int, workers: int, exhaustive: bool
 ) -> None:
     """Evaluate each loader's block as one pool job, ``per_row`` instances
-    per row, and merge the jobs' counts and witnesses, as :func:`_violations`
-    returns them, into ``report`` in job order, keeping the first
-    VIOLATION_CAP witnesses in sweep order."""
+    per row, and merge the jobs' counts and deferred witnesses, as
+    :func:`_violations` returns them, into ``report`` in job order,
+    formatting only the first VIOLATION_CAP witnesses in sweep order."""
 
-    def job(load: Callable[[], np.ndarray]) -> tuple[int, int, list[dict]]:
+    def job(load: Callable[[], np.ndarray]) -> tuple[int, int, list[Callable[[], dict]]]:
         block = load()
         return (block.shape[0] * per_row, *evaluate(block))
 
     for checked, total, witnesses in _run_ordered(loaders, job, workers):
         report.instances_checked += checked
         report.total_violations += total
-        report.violations.extend(witnesses[: VIOLATION_CAP - len(report.violations)])
+        report.violations.extend(w() for w in witnesses[: VIOLATION_CAP - len(report.violations)])
     report.exhaustive = report.exhaustive and exhaustive
 
 
@@ -722,7 +727,7 @@ def _first_witness(n: int, scan: int, block: int, evaluate: Callable) -> dict | 
     for lo in range(0, scan, block):
         _, witnesses = evaluate(all_tables_block(n, lo, min(lo + block, scan)))
         if witnesses:
-            return witnesses[0]
+            return witnesses[0]()
     return None
 
 

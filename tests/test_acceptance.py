@@ -29,8 +29,8 @@ def warm_kernels():
                  "roundtrip_flags", "isotonic_all_pairs"):
         _kernels.kernel(name)(tables, 2)
     fmaps = enumeration.all_assignments(2, 2)
-    imgs, pres = _kernels.build_map_tables(fmaps, 2, 2)
-    _kernels.kernel("map_flags")(tables[:4], tables[:4], imgs, pres, 2, 2)
+    bounds = _kernels.build_map_tables(tables[:4], fmaps, 2, 2)
+    _kernels.kernel("map_flags")(tables[:4], tables[:4], fmaps, bounds, 2, 2)
 
 
 def _passed(line):

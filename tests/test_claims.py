@@ -352,3 +352,57 @@ def test_hunt_rejects_a_negative_budget(monkeypatch):
     for claim_id in ("neg-pws-not-extsep", "neg-ns-not-cont"):
         with pytest.raises(cs.InvalidSweepArgument, match="budget must be at least 0"):
             cs.hunt_counterexample(claim_id, n_max=2, budget=-1)
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, which still runs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,implication,document",
+    [
+        ("space", claims.SpaceImplication("all", (), ("grounded",)), "space_document"),
+        ("map", claims.MapImplication("all", "all", (), ("continuous",)), "map_document"),
+    ],
+    ids=["space", "map"],
+)
+def test_sweep_formats_only_the_witnesses_it_keeps(monkeypatch, kind, implication, document):
+    # 16-row chunks: every job finds violations, but only the first
+    # VIOLATION_CAP of the whole sweep become documents
+    bogus = claims.Claim("bogus", "a false claim", kind, (implication,))
+    monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
+    default = cs.verify_claim(bogus.id, 2)
+    assert default.total_violations > claims.VIOLATION_CAP
+    monkeypatch.setattr(claims, "_CHUNK", 16)
+    calls = _counted(monkeypatch, formats, document)
+    small = cs.verify_claim(bogus.id, 2)
+    assert len(calls) == claims.VIOLATION_CAP
+    assert small.summary() == default.summary()
+    assert small.violations == default.violations
+
+
+def test_hunt_formats_only_its_witness(monkeypatch):
+    calls = _counted(monkeypatch, formats, "map_document")
+    witness = cs.hunt_counterexample("neg-cont-not-cp", n_max=2)
+    assert witness is not None and len(calls) == 1
+
+
+@pytest.mark.parametrize("claim_id,groups", [("thm-cp-implies-ns", 1), ("thm-cp-cont", 2)])
+def test_map_bounds_are_built_once_per_group(monkeypatch, claim_id, groups):
+    # the codomain bounds serve every domain chunk of their group: at n = 3
+    # a group's 200 sampled domain tables make 67 chunks
+    from closurespaces import _kernels
+
+    calls = _counted(monkeypatch, _kernels, "build_map_tables")
+    report = cs.verify_claim(claim_id, 3)
+    assert report.total_violations == 0
+    assert len(calls) == groups

@@ -119,6 +119,24 @@ def test_verify_stdout_is_byte_stable(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_sampled_map_violations_at_n3_match_the_golden(monkeypatch, capsys):
+    # a false map claim over the seeded n = 3 samples: the summary and the
+    # first 100 witnesses pin which instances the map sweep checks
+    bogus = claims.Claim(
+        "bogus-iso-pws-cont",
+        "every map from an isotonic space to an isotonic pointwise-symmetric "
+        "space is continuous (false)",
+        "map",
+        (claims.MapImplication("isotonic", "isotonic_pointwise_symmetric", (), ("continuous",)),),
+    )
+    monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
+    golden = Path(__file__).parent / "goldens" / "verify-bogus-map-n3.txt"
+    assert main(["--quiet", "verify", "--claim", bogus.id, "--n", "3", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("claim=bogus-iso-pws-cont n=3 checked=1080000 violations=1010189 ")
+    assert out == golden.read_text()
+
+
 def test_verify_stdout_matches_the_golden(capsys):
     # every claim of the catalog at n = 1 and 2, byte for byte
     golden = Path(__file__).parent / "goldens" / "verify-n1-n2.txt"

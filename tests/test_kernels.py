@@ -109,15 +109,30 @@ def test_space_kernel_matches_oracle(n, name):
         assert tuple(bool(v) for v in got[i]) == want, (name, tables[i].tolist())
 
 
-@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+def _map_side(n, rng):
+    # 20 tables: from every table at n <= 2; beyond, from isotonic and
+    # pointwise-symmetric samples and their one-bit-flipped near misses, on
+    # which the map predicates hold often enough to be checked both ways
+    if n <= 2:
+        pool = _universe(n)
+    else:
+        pool = _near(n, ("isotonic", "isotonic_pointwise_symmetric"), 10)
+    return pool[rng.choice(pool.shape[0], size=min(pool.shape[0], 20), replace=False)]
+
+
+# (4, 1) fills all 64 bits of a bound word
+@pytest.mark.parametrize(
+    "nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 3), (3, 3), (4, 1)]
+)
 def test_map_kernel_matches_oracle(nx, ny):
     rng = np.random.default_rng(7)
-    ux, uy = _universe(nx), _universe(ny)
-    tx = ux[rng.choice(ux.shape[0], size=min(ux.shape[0], 20), replace=False)]
-    ty = uy[rng.choice(uy.shape[0], size=min(uy.shape[0], 20), replace=False)]
+    tx, ty = _map_side(nx, rng), _map_side(ny, rng)
     fmaps = enumeration.all_assignments(nx, ny)
-    imgs, pres = _kernels.build_map_tables(fmaps, nx, ny)
-    out = _kernels.kernel("map_flags")(tx, ty, imgs, pres, nx, ny)
+    bounds = _kernels.build_map_tables(ty, fmaps, nx, ny)
+    out = _kernels.kernel("map_flags")(tx, ty, fmaps, bounds, nx, ny)
+    # every predicate both holds and fails somewhere in the sample
+    columns = out.reshape(-1, 4)
+    assert columns.max(axis=0).all() and not columns.min(axis=0).any()
     xs = [_as_sets(row, nx) for row in tx]
     ys = [_as_sets(row, ny) for row in ty]
     for k in range(fmaps.shape[0]):
@@ -182,8 +197,8 @@ def test_map_kernel_matches_library_on_sample():
     tx = tables[rng.integers(0, 256, size=25)]
     ty = tables[rng.integers(0, 256, size=25)]
     fmaps = enumeration.all_assignments(2, 2)
-    imgs, pres = _kernels.build_map_tables(fmaps, 2, 2)
-    out = _kernels.kernel("map_flags")(tx, ty, imgs, pres, 2, 2)
+    bounds = _kernels.build_map_tables(ty, fmaps, 2, 2)
+    out = _kernels.kernel("map_flags")(tx, ty, fmaps, bounds, 2, 2)
     g = cs.ground(2)
     for i in range(tx.shape[0]):
         for j in range(ty.shape[0]):
@@ -200,6 +215,23 @@ def test_map_kernel_matches_library_on_sample():
                     prof.nonseparating,
                     prof.preimage_separating,
                 )
+
+
+def test_map_bounds_refuse_more_than_64_bits():
+    # 5 * 2**5 = 160 bits per bound word
+    ty = enumeration.all_tables_block(1, 0, 4)
+    with pytest.raises(enumeration.UniverseTooLarge):
+        _kernels.build_map_tables(ty, enumeration.all_assignments(5, 1), 5, 1)
+
+
+def test_map_flags_refuses_bounds_of_other_tables():
+    tables = enumeration.all_tables_block(2, 0, 16)
+    fmaps = enumeration.all_assignments(2, 2)
+    bounds = _kernels.build_map_tables(tables[:4], fmaps, 2, 2)
+    with pytest.raises(ValueError, match="do not cover"):
+        _kernels.kernel("map_flags")(tables, tables[:5], fmaps, bounds, 2, 2)
+    with pytest.raises(ValueError, match="do not cover"):
+        _kernels.kernel("map_flags")(tables, tables[:4], fmaps[:3], bounds, 2, 2)
 
 
 def test_sweeps_run_with_numba_unimportable():
