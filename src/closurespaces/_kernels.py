@@ -138,10 +138,12 @@ def _formula_flags(tables, n):
     return ok.astype(np.uint8)
 
 
-def _pack(bits):
-    # bool (..., k) -> int64 (...): bit b of each word is bits[..., b]
-    weights = np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64)
-    return np.bitwise_or.reduce(bits * weights, axis=-1)
+def _pack(fields, xs, nx, dtype):
+    # one word per row of the leading axes: fields[..., u] in the nx-bit
+    # field of subset xs[..., u], ORed over the last axis; with nx = 1 and
+    # xs = 0..k-1, bit b of each word is fields[..., b]
+    shifts = (nx * xs).astype(dtype)
+    return np.bitwise_or.reduce(fields.astype(dtype) << shifts, axis=-1)
 
 
 def _separation_rows(tables, n):
@@ -151,7 +153,9 @@ def _separation_rows(tables, n):
     subsets = np.arange(1 << n)
     rows = np.empty(tables.shape, np.int64)
     for a in subsets:
-        rows[:, a] = _pack(((a & tables) == 0) & ((tables[:, a, None] & subsets) == 0))
+        rows[:, a] = _pack(
+            ((a & tables) == 0) & ((tables[:, a, None] & subsets) == 0), subsets, 1, np.int64
+        )
     return rows
 
 
@@ -173,7 +177,7 @@ def _criteria_flags(tables, n):
     grounded_crit = nb[:, 0] == 0
 
     # related pairs must be disjoint: no bit of rows[a] may name a set meeting a
-    meeting = _pack((subsets[:, None] & subsets) != 0)
+    meeting = _pack((subsets[:, None] & subsets) != 0, subsets, 1, np.int64)
     enlarging_crit = ((rows & meeting) == 0).all(axis=1)
 
     # whatever is related to b and to c is related to b | c
@@ -214,17 +218,10 @@ def _roundtrip_flags(tables, n):
     return ok.astype(np.uint8)
 
 
-def _pack_fields(fields, xs, nx, dtype):
-    # one word per row of the leading axes: fields[..., u] in the nx-bit
-    # field of subset xs[..., u], ORed over the last axis
-    shifts = (nx * xs).astype(dtype)
-    return np.bitwise_or.reduce(fields.astype(dtype) << shifts, axis=-1)
-
-
 def _closure_bound(ty, pres, ys, xs, nx, dtype):
     # X \ f⁻¹(cl_Y(ys[f, u])) in the field of xs[f, u]
     pre_cl = pres[np.arange(pres.shape[0])[:, None], ty[:, ys]]  # (sy, F, k)
-    return _pack_fields(~pre_cl & ((1 << nx) - 1), xs, nx, dtype)
+    return _pack(~pre_cl & ((1 << nx) - 1), xs, nx, dtype)
 
 
 def _separation_bound(rows, ys, xs, nx, dtype):
@@ -237,7 +234,7 @@ def _separation_bound(rows, ys, xs, nx, dtype):
         ],
         axis=-1,
     )
-    return _pack_fields(fields, xs, nx, dtype)
+    return _pack(fields, xs, nx, dtype)
 
 
 def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
@@ -248,7 +245,7 @@ def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
             f"bounds of shape {bounds.shape} do not cover {ty.shape[0]} codomain "
             f"tables and {fmaps.shape[0]} assignments"
         )
-    words = _pack_fields(tx_block, np.arange(1 << nx), nx, bounds.dtype)
+    words = _pack(tx_block, np.arange(1 << nx), nx, bounds.dtype)
     return ((words[:, None, None, None] & bounds) == 0).astype(np.uint8)
 
 
@@ -281,7 +278,9 @@ def build_map_tables(ty: np.ndarray, fmaps: np.ndarray, nx: int, ny: int) -> np.
     * preimage-separating: f⁻¹(D), ORed over every separated pair (C, D)
       of Y with f⁻¹(C) = A.
 
-    Raises UniverseTooLarge when the nx * 2**nx bits of a word exceed 64."""
+    The temporaries hold 2**max(nx, ny) int64 entries per word, so a large
+    codomain is best passed a slice at a time.  Raises UniverseTooLarge
+    when the nx * 2**nx bits of a word exceed 64."""
     if nx << nx > 64:
         raise UniverseTooLarge(f"a map bound word of {nx} * 2**{nx} bits does not fit 64 bits")
     dtype = np.min_scalar_type((1 << (nx << nx)) - 1)

@@ -494,7 +494,10 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
     maps.
     """
     fmaps = all_assignments(nx, ny)
-    bounds = _kernels.build_map_tables(ty, fmaps, nx, ny)
+    # the builder's temporaries hold 2**max(nx, ny) int64 entries per word,
+    # so it takes _CHUNK // len(fmaps) codomain tables at a time
+    loaders = slice_loaders(ty, max(1, _CHUNK // fmaps.shape[0]))
+    bounds = np.concatenate([_kernels.build_map_tables(load(), fmaps, nx, ny) for load in loaders])
     map_flags = _kernels.kernel("map_flags")
     y_cols = _SpaceColumns(ty, ny)
 

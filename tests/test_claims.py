@@ -396,6 +396,20 @@ def test_hunt_formats_only_its_witness(monkeypatch):
     assert witness is not None and len(calls) == 1
 
 
+def test_map_bounds_are_built_a_codomain_slice_at_a_time(monkeypatch):
+    # a hunt holds every codomain table of a size pair, 16,777,216 at ny = 3,
+    # so the builder, whose int64 temporaries grow with its codomain block,
+    # gets _CHUNK // len(fmaps) tables a call
+    from closurespaces import _kernels
+
+    default = cs.hunt_counterexample("neg-cont-not-cp", n_max=2)
+    monkeypatch.setattr(claims, "_CHUNK", 64)
+    calls = _counted(monkeypatch, _kernels, "build_map_tables")
+    assert cs.hunt_counterexample("neg-cont-not-cp", n_max=2) == default
+    assert len(calls) > 2
+    assert all(ty.shape[0] <= max(1, 64 // fmaps.shape[0]) for ty, fmaps, _, _ in calls)
+
+
 @pytest.mark.parametrize("claim_id,groups", [("thm-cp-implies-ns", 1), ("thm-cp-cont", 2)])
 def test_map_bounds_are_built_once_per_group(monkeypatch, claim_id, groups):
     # the codomain bounds serve every domain chunk of their group: at n = 3

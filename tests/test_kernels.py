@@ -110,14 +110,15 @@ def test_space_kernel_matches_oracle(n, name):
 
 
 def _map_side(n, rng):
-    # 20 tables: from every table at n <= 2; beyond, from isotonic and
+    # 20 tables of _universe(n); beyond n = 2, 20 more from isotonic and
     # pointwise-symmetric samples and their one-bit-flipped near misses, on
     # which the map predicates hold often enough to be checked both ways
-    if n <= 2:
-        pool = _universe(n)
-    else:
-        pool = _near(n, ("isotonic", "isotonic_pointwise_symmetric"), 10)
-    return pool[rng.choice(pool.shape[0], size=min(pool.shape[0], 20), replace=False)]
+    pools = [_universe(n)]
+    if n > 2:
+        pools.append(_near(n, ("isotonic", "isotonic_pointwise_symmetric"), 10))
+    return np.concatenate(
+        [pool[rng.choice(pool.shape[0], size=min(pool.shape[0], 20), replace=False)] for pool in pools]
+    )
 
 
 # (4, 1) fills all 64 bits of a bound word
