@@ -13,8 +13,11 @@ thread pool.
 The relation kernels hold separated pairs in the row format of
 ``separation.SeparationRelation``: an int64 array of shape (count, 2**n)
 whose bit b of ``rows[s, a]`` is set iff subsets a and b are separated in
-space s.  A row holds 2**n bits, so these kernels accept n <= MAX_ROW_N = 6;
-the sweeps stop at n = 4.
+space s, or related in relation s.  A row holds 2**n bits, so these kernels
+accept n <= MAX_ROW_N = 6; the sweeps stop at n = 4.  The criteria and
+round-trip kernels derive the rows from tables; ``reconstruct_flags`` takes
+separation rows, not tables: it checks the two reconstruction conditions on
+each relation and the table the relation rebuilds.
 
 Each morphism predicate of a map f: X -> Y says that cl_X(A) misses a set
 outside[A] for every A ⊆ X, and outside depends on the codomain table and
@@ -199,11 +202,10 @@ def _criteria_flags(tables, n):
     )
 
 
-def _roundtrip_flags(tables, n):
+def _conditions(rows, nb, n):
+    # both reconstruction conditions on separation rows and their nb
     subsets = np.arange(1 << n)
-    rows = _separation_rows(tables, n)
-    nb = _neighbourhoods(rows, n)
-    ok = (nb == tables).all(axis=1)
+    ok = np.ones(rows.shape[0], bool)
     # condition 1: rows[b] inside rows[a] for a ⊆ b; dropping one point at a
     # time reaches every subset, so those pairs suffice
     for b in subsets:
@@ -215,7 +217,28 @@ def _roundtrip_flags(tables, n):
         hyp = ((a & nb) == 0) & ((subsets & nb[:, a, None]) == 0)
         unrelated = (rows[:, a, None] >> subsets & 1) == 0
         ok &= ~(hyp & unrelated).any(axis=1)
-    return ok.astype(np.uint8)
+    return ok
+
+
+def _roundtrip_flags(tables, n):
+    rows = _separation_rows(tables, n)
+    nb = _neighbourhoods(rows, n)
+    return ((nb == tables).all(axis=1) & _conditions(rows, nb, n)).astype(np.uint8)
+
+
+def _reconstruct_flags(rows, n):
+    # the conditions on the relations, then what the table nb they rebuild
+    # is: isotonic, pointwise-symmetric, separating exactly the given pairs
+    nb = _neighbourhoods(rows, n)
+    return np.stack(
+        [
+            _conditions(rows, nb, n),
+            _isotonic_all_pairs(nb, n) == 1,
+            _symmetry_flags(nb, n)[:, 0] == 1,
+            (_separation_rows(nb, n) == rows).all(axis=1),
+        ],
+        axis=1,
+    ).astype(np.uint8)
 
 
 def _closure_bound(ty, pres, ys, xs, nx, dtype):
@@ -256,6 +279,7 @@ _KERNELS = {
     "formula_flags": _formula_flags,
     "criteria_flags": _criteria_flags,
     "roundtrip_flags": _roundtrip_flags,
+    "reconstruct_flags": _reconstruct_flags,
     "map_flags": _map_flags,
 }
 

@@ -6,12 +6,19 @@ predicate definitionally through the batch kernels (or the plain library
 functions for the slow audit predicates), so no claim is checked by the
 implication it states.
 
-One evaluator, :func:`_violations`, serves sweeps and hunts over spaces and
-maps: on a block of instances it counts the (instance, implication) pairs
-whose hypothesis holds and whose conclusions do not all hold, and gives the
-witnesses of the first k in sweep order (instance by instance, implications
+One evaluator, :func:`_violations`, and one sweep, :func:`_sweep`, serve
+all three claim kinds, spaces, maps and relations, and the hunts: on a
+block of instances the evaluator counts the (instance, implication) pairs
+whose hypothesis holds and whose conclusions do not all hold, and names the
+instances of the first k in sweep order (instance by instance, implications
 in catalog order).  A hunt reads its negative claim as the implication it
 denies and evaluates the lexicographic prefix its budget affords, k = 1.
+
+A relation claim is a space claim over the universe 'relations', whose rows
+are separation rows (``_kernels``' relation format) rather than tables: a
+relation costs 8**n evaluations, since its conditions compare subset
+triples, so every relation is checked up to n = 2 and a seeded sample of
+relations beyond.
 
 Sweeps are exhaustive when the universe fits the evaluation budget (a count
 of subset-pair predicate evaluations, 4**n per space or map instance) and
@@ -22,10 +29,10 @@ witnesses in sweep order, sorted canonically, so it is identical for any
 worker count and chunk size.  Each job loads its own tables: a chunk of
 class 'all' is decoded from its block of the lexicographic universe by the
 pool thread that evaluates it, and a chunk of a cached or sampled universe
-is a slice of an array already in memory.  A job returns only counts and
-capped deferred witnesses, copies of the rows they name, so the decoded
-tables in memory stay within workers x chunk size, whatever the universe;
-the merge formats only the witnesses the report keeps.
+is a slice of an array already in memory.  A job returns only its counts
+and one copy of the rows of its first VIOLATION_CAP violations, so the
+decoded tables in memory stay within workers x chunk size, whatever the
+universe; the merge formats only the witnesses the report keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from .enumeration import (
     _STREAM_MAX_N,
     SAMPLE_MAX_N,
     UniverseTooLarge,
+    _matrix_rows,
     all_assignments,
     all_tables_block,
     chunk_loaders,
@@ -61,14 +69,7 @@ from .enumeration import (
     slice_loaders,
 )
 from .maps import MapProfile, make_map
-from .separation import (
-    ConditionsViolated,
-    RelationCriteria,
-    SeparationRelation,
-    closure_from_relation,
-    make_relation,
-    separated_pairs,
-)
+from .separation import RelationCriteria, SeparationRelation
 
 DEFAULT_EVAL_BUDGET = 10**8
 SAMPLE_CAP = 5000
@@ -111,7 +112,7 @@ class Claim:
     id: str
     description: str
     kind: str  # "space" | "map" | "relation"
-    implications: tuple = ()
+    implications: tuple
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,13 @@ CATALOG: dict[str, Claim] = {
             "thm-reconstruct",
             "relations passing both conditions rebuild an isotonic pointwise-symmetric space with the same separated pairs",
             "relation",
+            (
+                SpaceImplication(
+                    "relations",
+                    ("reconstruction_conditions",),
+                    ("rebuilt_isotonic", "rebuilt_pointwise_symmetric", "rebuilt_same_pairs"),
+                ),
+            ),
         ),
         Claim(
             "thm-roundtrip",
@@ -377,6 +385,12 @@ _KERNEL_FLAGS = {
     "criteria_flags": _names(RelationCriteria),
     "formula_flags": ("reconstruction_formula",),
     "roundtrip_flags": ("roundtrip_ok",),
+    "reconstruct_flags": (
+        "reconstruction_conditions",
+        "rebuilt_isotonic",
+        "rebuilt_pointwise_symmetric",
+        "rebuilt_same_pairs",
+    ),
 }
 _FLAG_COLUMNS = {
     name: (kernel_name, column)
@@ -392,7 +406,8 @@ MAP_PREDICATES = {name: column for column, name in enumerate(_names(MapProfile))
 
 
 class _SpaceColumns:
-    """Lazy per-chunk evaluation of named space predicates."""
+    """Lazy per-chunk evaluation of named predicates over a block of rows:
+    closure tables, or separation rows for the relation predicates."""
 
     def __init__(self, tables: np.ndarray, n: int):
         self.tables = tables
@@ -439,27 +454,33 @@ class _SpaceColumns:
 
 
 def _space_witness(n: int, row: np.ndarray) -> dict:
-    sp = Space(ground(n), tuple(int(v) for v in row))
+    sp = Space(ground(n), tuple(row.tolist()))
     return {"kind": "space", "n": n, "space": formats.space_document(sp)}
 
 
-def _map_witness(nx: int, ny: int, tx_row, ty_row, assignment) -> dict:
-    spx = Space(ground(nx), tuple(int(v) for v in tx_row))
-    spy = Space(ground(ny), tuple(int(v) for v in ty_row))
-    mp = make_map(spx, spy, tuple(int(v) for v in assignment))
+def _relation_witness(n: int, row: np.ndarray) -> dict:
+    rel = SeparationRelation(ground(n), tuple(row.tolist()))
+    return {"kind": "relation", "n": n, "relation": formats.relation_document(rel)}
+
+
+def _map_witness(nx: int, ny: int, row: np.ndarray) -> dict:
+    # row: the domain table, the codomain table, then the assignment
+    sx, sy = 1 << nx, 1 << ny
+    spx = Space(ground(nx), tuple(row[:sx].tolist()))
+    spy = Space(ground(ny), tuple(row[sx : sx + sy].tolist()))
+    mp = make_map(spx, spy, tuple(row[sx + sy :].tolist()))
     return {"kind": "map", "nx": nx, "ny": ny, "map": formats.map_document(mp)}
 
 
-def _violations(shape: tuple, get: Callable, implications, witness: Callable, k: int):
+def _violations(shape: tuple, get: Callable, implications, k: int) -> tuple[int, tuple]:
     """Evaluate implications on a block of instances indexed by ``shape``.
 
     ``get`` gives a named predicate's column over the block (broadcastable
-    to ``shape``) and ``witness`` the deferred witness of the instance at an
-    index: a call that formats its document, holding copies of its rows.
-    Returns the number of (instance, implication) pairs whose hypothesis
-    holds and whose conclusions do not all hold, and the deferred witnesses
-    of the first k of them in sweep order: instance by instance, each
-    instance's implications in the order given.
+    to ``shape``).  Returns the number of (instance, implication) pairs
+    whose hypothesis holds and whose conclusions do not all hold, and the
+    instances of the first k of them in sweep order (instance by instance,
+    each instance's implications in the order given) as one index array per
+    axis of ``shape``.
     """
 
     def holds(names: tuple[str, ...]) -> np.ndarray:
@@ -469,18 +490,17 @@ def _violations(shape: tuple, get: Callable, implications, witness: Callable, k:
         return mask
 
     bad = np.stack([holds(i.hypothesis) & ~holds(i.conclusion) for i in implications], axis=-1)
-    total = int(np.count_nonzero(bad))
-    hits = np.argwhere(bad)[:k] if total else ()
-    return total, [witness(*index[:-1]) for index in hits]
+    first = np.unravel_index(np.flatnonzero(bad)[:k], bad.shape)[:-1]
+    return int(np.count_nonzero(bad)), first
 
 
-def _space_block(n: int, implications, k: int, tables: np.ndarray):
-    """:func:`_violations` over the spaces of a table block."""
-
-    def witness(i: int) -> Callable[[], dict]:
-        return partial(_space_witness, n, tables[i].copy())
-
-    return _violations(tables.shape[:1], _SpaceColumns(tables, n).get, implications, witness, k)
+def _space_block(n: int, witness: Callable, implications, k: int, tables: np.ndarray):
+    """:func:`_violations` over the rows of a block: tables, or separation
+    rows for the relation predicates.  Returns the violation count, a copy
+    of the rows of the first k, and ``witness`` bound to n, which formats
+    one of those rows as a document."""
+    total, (i,) = _violations(tables.shape[:1], _SpaceColumns(tables, n).get, implications, k)
+    return total, tables[i], partial(witness, n)
 
 
 def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callable:
@@ -501,7 +521,7 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
     map_flags = _kernels.kernel("map_flags")
     y_cols = _SpaceColumns(ty, ny)
 
-    def evaluate(tx: np.ndarray) -> tuple[int, list[Callable[[], dict]]]:
+    def evaluate(tx: np.ndarray) -> tuple[int, np.ndarray, Callable[[np.ndarray], dict]]:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
         x_cols = _SpaceColumns(tx, nx)
 
@@ -514,10 +534,9 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
                 return y_cols.get(name.removeprefix("codomain_"))[None, :, None]
             raise UnknownClaim(f"unknown map predicate: {name!r}")
 
-        def witness(i: int, j: int, f: int) -> Callable[[], dict]:
-            return partial(_map_witness, nx, ny, tx[i].copy(), ty[j].copy(), fmaps[f].copy())
-
-        return _violations(out.shape[:3], get, implications, witness, k)
+        total, (i, j, f) = _violations(out.shape[:3], get, implications, k)
+        rows = np.concatenate([tx[i], ty[j], fmaps[f]], axis=1)
+        return total, rows, partial(_map_witness, nx, ny)
 
     return evaluate
 
@@ -554,25 +573,60 @@ def _sweep(
     report, loaders: list, evaluate: Callable, per_row: int, workers: int, exhaustive: bool
 ) -> None:
     """Evaluate each loader's block as one pool job, ``per_row`` instances
-    per row, and merge the jobs' counts and deferred witnesses, as
-    :func:`_violations` returns them, into ``report`` in job order,
-    formatting only the first VIOLATION_CAP witnesses in sweep order."""
+    per row, and merge the jobs' counts and witness rows, as the block
+    functions return them, into ``report`` in job order, formatting only
+    the first VIOLATION_CAP witnesses in sweep order."""
 
-    def job(load: Callable[[], np.ndarray]) -> tuple[int, int, list[Callable[[], dict]]]:
+    def job(load: Callable[[], np.ndarray]) -> tuple:
         block = load()
         return (block.shape[0] * per_row, *evaluate(block))
 
-    for checked, total, witnesses in _run_ordered(loaders, job, workers):
+    for checked, total, rows, witness in _run_ordered(loaders, job, workers):
         report.instances_checked += checked
         report.total_violations += total
-        report.violations.extend(w() for w in witnesses[: VIOLATION_CAP - len(report.violations)])
+        report.violations.extend(map(witness, rows[: VIOLATION_CAP - len(report.violations)]))
     report.exhaustive = report.exhaustive and exhaustive
+
+
+def _relation_chunks(
+    n: int, budget: int, seed: int
+) -> tuple[list[Callable[[], np.ndarray]], bool]:
+    """Chunk loaders for the separation rows of every relation at size n and
+    True, or for a seeded sample of them and False, at 8**n evaluations per
+    relation.
+
+    Only n <= 2 is enumerated: the 2**36 relations at n = 3 are beyond any
+    sweep.  The exhaustive rows set the pairs (a, b), a <= b, in row-major
+    order as the bits of the relation's number.  A sample of ``count`` takes
+    the separation rows of (count + 1) // 2 isotonic pointwise-symmetric
+    spaces, which meet both conditions, and follows each of the first
+    count // 2 with a copy that has one uniformly drawn pair flipped, so
+    that relations failing a condition are checked too."""
+    size = 1 << n
+    npairs = size * (size + 1) // 2
+    cost = 8**n
+    if n <= 2 and (1 << npairs) * cost <= budget:
+        return slice_loaders(_matrix_rows(np.arange(1 << npairs), size), _CHUNK), True
+    count = min(SAMPLE_CAP, max(1, budget // cost))
+    spaces = sample_tables(n, "isotonic_pointwise_symmetric", (count + 1) // 2, seed)
+    derived = _kernels._separation_rows(spaces, n)
+    flipped = derived[: count // 2].copy()
+    flips = np.random.default_rng(seed).integers(0, npairs, size=count // 2)
+    a, b = (side[flips] for side in np.triu_indices(size))
+    i = np.arange(count // 2)
+    flipped[i, a] ^= 1 << b
+    flipped[i, b] ^= (a != b) << a  # the pair {a, a} is one bit
+    rows = np.empty((count, size), np.int64)
+    rows[0::2], rows[1::2] = derived, flipped
+    return slice_loaders(rows, _CHUNK), False
 
 
 def _verify_space_claim(
     claim: Claim, n: int, budget: int, seed: int, workers: int
 ) -> VerificationReport:
-    table_budget = max(1, budget // 4**n)
+    """Sweep the implications of a space or relation claim, one universe at
+    a time: a class of tables at 4**n evaluations per table, or the
+    separation relations."""
     report = VerificationReport(claim.id, n, 0)
 
     groups: dict[str, list[SpaceImplication]] = {}
@@ -580,8 +634,13 @@ def _verify_space_claim(
         groups.setdefault(impl.universe, []).append(impl)
 
     for gi, (universe, impls) in enumerate(groups.items()):
-        loaders, exhaustive = _class_chunks(n, universe, table_budget, seed + gi)
-        evaluate = partial(_space_block, n, impls, VIOLATION_CAP)
+        if universe == "relations":
+            loaders, exhaustive = _relation_chunks(n, budget, seed + gi)
+            witness = _relation_witness
+        else:
+            loaders, exhaustive = _class_chunks(n, universe, max(1, budget // 4**n), seed + gi)
+            witness = _space_witness
+        evaluate = partial(_space_block, n, witness, impls, VIOLATION_CAP)
         _sweep(report, loaders, evaluate, 1, workers, exhaustive)
     return report
 
@@ -625,71 +684,6 @@ def _verify_map_claim(
     return report
 
 
-def _canonical_pairs(n: int) -> list[tuple[int, int]]:
-    size = 1 << n
-    return [(a, b) for a in range(size) for b in range(a, size)]
-
-
-def _verify_relation_claim(
-    claim: Claim, n: int, budget: int, seed: int
-) -> VerificationReport:
-    """Sweep relations: reconstruction must succeed exactly when both
-    conditions hold, and a rebuilt space must be isotonic,
-    pointwise-symmetric, and separate exactly the input pairs."""
-    g = ground(n)
-    pairs = _canonical_pairs(n)
-    cost = max(1, 8**n)
-    report = VerificationReport(claim.id, n, 0)
-
-    def relations() -> Iterable[SeparationRelation]:
-        total = 1 << len(pairs)
-        if total * cost <= budget:
-            for bits in range(total):
-                yield make_relation(g, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
-        else:
-            report.exhaustive = False
-            rng = np.random.default_rng(seed)
-            count = min(SAMPLE_CAP, max(1, budget // cost))
-            derived = sample_tables(n, "isotonic_pointwise_symmetric", (count + 1) // 2, seed)
-            emitted = 0
-            for row in derived:
-                sp = Space(g, tuple(int(v) for v in row))
-                rel = separated_pairs(sp)
-                yield rel
-                emitted += 1
-                if emitted >= count:
-                    break
-                # mutate one pair so invalid relations are exercised too
-                flip = pairs[int(rng.integers(0, len(pairs)))]
-                yield make_relation(g, rel.pairs ^ {flip})
-                emitted += 1
-                if emitted >= count:
-                    break
-
-    for rel in relations():
-        try:
-            rebuilt = closure_from_relation(rel)
-        except ConditionsViolated as exc:
-            # reconstruction may fail only when a condition fails
-            bad = exc.report.ok
-        else:
-            prof = axiom_profile(rebuilt)
-            sym = symmetry_profile(rebuilt)
-            bad = not (
-                prof.isotonic
-                and sym.pointwise_symmetric
-                and separated_pairs(rebuilt) == rel
-            )
-        if bad:
-            report.total_violations += 1
-            if len(report.violations) < VIOLATION_CAP:
-                report.violations.append(
-                    {"kind": "relation", "n": n, "relation": formats.relation_document(rel)}
-                )
-        report.instances_checked += 1
-    return report
-
-
 def verify_claim(
     claim_id: str,
     n: int,
@@ -708,12 +702,10 @@ def verify_claim(
     _require_at_least(1, n=n, budget=budget, workers=workers)
     claim = CATALOG[claim_id]
     start = time.perf_counter()
-    if claim.kind == "space":
-        report = _verify_space_claim(claim, n, budget, seed, workers)
-    elif claim.kind == "map":
+    if claim.kind == "map":
         report = _verify_map_claim(claim, n, budget, seed, workers)
     else:
-        report = _verify_relation_claim(claim, n, budget, seed)
+        report = _verify_space_claim(claim, n, budget, seed, workers)
     report.violations.sort(key=_canonical_key)
     report.elapsed = time.perf_counter() - start
     return report
@@ -728,9 +720,9 @@ def _first_witness(n: int, scan: int, block: int, evaluate: Callable) -> dict | 
     """The first witness among the first ``scan`` tables of the lexicographic
     universe at size n, decoded and evaluated ``block`` tables at a time."""
     for lo in range(0, scan, block):
-        _, witnesses = evaluate(all_tables_block(n, lo, min(lo + block, scan)))
-        if witnesses:
-            return witnesses[0]()
+        _, rows, witness = evaluate(all_tables_block(n, lo, min(lo + block, scan)))
+        if len(rows):
+            return witness(rows[0])
     return None
 
 
@@ -740,7 +732,8 @@ def _hunt_spaces(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
         cost = 4**n
         size = 1 << n
         scan = min(size**size, (budget - spent) // cost)
-        witness = _first_witness(n, scan, _CHUNK, partial(_space_block, n, (neg,), 1))
+        evaluate = partial(_space_block, n, _space_witness, (neg,), 1)
+        witness = _first_witness(n, scan, _CHUNK, evaluate)
         if witness is not None:
             return witness
         spent += scan * cost

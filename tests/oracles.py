@@ -343,6 +343,32 @@ def isotonic_pointwise_symmetric_sample(n, count, seed):
     return tables
 
 
+def relation_sample(n, count, seed):
+    """The relations a sampled reconstruction sweep checks, as bitmask rows
+    (bit b of row a set iff {a, b} is related), built one relation at a
+    time: the separated pairs of an isotonic pointwise-symmetric sample,
+    each followed by a copy with one drawn pair flipped, until there are
+    ``count``."""
+    size = 1 << n
+    pairs = [(a, b) for a in range(size) for b in range(a, size)]
+    rng = np.random.default_rng(seed)
+    relations = []
+    for table in isotonic_pointwise_symmetric_sample(n, (count + 1) // 2, seed):
+        related = {(a, b) for a, b in pairs if not a & table[b] and not table[a] & b}
+        relations.append(related)
+        if len(relations) >= count:
+            break
+        # mutate one pair so invalid relations are exercised too
+        flip = pairs[int(rng.integers(0, len(pairs)))]
+        relations.append(related ^ {flip})
+        if len(relations) >= count:
+            break
+    return [
+        [sum(1 << b for b in range(size) if (min(a, b), max(a, b)) in rel) for a in range(size)]
+        for rel in relations
+    ]
+
+
 # --- maps -------------------------------------------------------------------
 
 

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import closurespaces as cs
@@ -75,6 +77,27 @@ def test_reconstruct_claim_exhaustive_at_n2():
     assert report.total_violations == 0 and report.exhaustive
 
 
+def test_reconstruct_claim_samples_n3_whatever_the_budget():
+    # the 2**36 relations at n = 3 are never enumerated, even when the
+    # budget would cover them at 8**3 evaluations each
+    start = time.perf_counter()
+    report = cs.verify_claim("thm-reconstruct", 3, budget=10**14)
+    assert time.perf_counter() - start < 1.0
+    assert report.summary() == "claim=thm-reconstruct n=3 checked=5000 violations=0 exhaustive=false"
+
+
+@pytest.mark.parametrize(
+    "n,count,seed", [(2, 7, 0), (2, 10, 1), (3, 5000, 0), (3, 11, 3), (4, 9, 0), (4, 20, 5)]
+)
+def test_relation_sample_matches_the_oracle(n, count, seed):
+    # the sweep flips its pairs in one vector pass; the oracle builds the
+    # same relations one at a time
+    loaders, exhaustive = claims._relation_chunks(n, count * 8**n, seed)
+    assert not exhaustive
+    rows = np.concatenate([load() for load in loaders])
+    assert rows.tolist() == oracles.relation_sample(n, count, seed)
+
+
 def test_sampled_sweep_is_flagged_and_seed_deterministic():
     small = 10_000  # too small for the 16.7M tables at n=3
     one = cs.verify_claim("cor-r0", 3, budget=small, seed=3)
@@ -85,7 +108,7 @@ def test_sampled_sweep_is_flagged_and_seed_deterministic():
 
 
 def test_worker_count_does_not_change_reports():
-    for claim_id in ("cor-r0", "thm-cp-implies-ns"):
+    for claim_id in ("cor-r0", "thm-cp-implies-ns", "thm-reconstruct"):
         solo = cs.verify_claim(claim_id, 2, workers=1)
         quad = cs.verify_claim(claim_id, 2, workers=4)
         assert solo.instances_checked == quad.instances_checked
@@ -372,8 +395,13 @@ def _counted(monkeypatch, owner, name):
     [
         ("space", claims.SpaceImplication("all", (), ("grounded",)), "space_document"),
         ("map", claims.MapImplication("all", "all", (), ("continuous",)), "map_document"),
+        (
+            "relation",
+            claims.SpaceImplication("relations", (), ("rebuilt_same_pairs",)),
+            "relation_document",
+        ),
     ],
-    ids=["space", "map"],
+    ids=["space", "map", "relation"],
 )
 def test_sweep_formats_only_the_witnesses_it_keeps(monkeypatch, kind, implication, document):
     # 16-row chunks: every job finds violations, but only the first

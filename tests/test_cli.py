@@ -138,12 +138,13 @@ def test_sampled_map_violations_at_n3_match_the_golden(monkeypatch, capsys):
 
 
 def test_verify_stdout_matches_the_golden(capsys):
-    # every claim of the catalog at n = 1 and 2, byte for byte
-    golden = Path(__file__).parent / "goldens" / "verify-n1-n2.txt"
-    for n in (1, 2):
-        for claim_id in claims.CATALOG:
-            assert main(["--quiet", "verify", "--claim", claim_id, "--n", str(n)]) == 0
-    assert capsys.readouterr().out == golden.read_text()
+    # every claim of the catalog at n = 1 and 2, then at n = 3, byte for byte
+    for name, sizes in (("verify-n1-n2.txt", (1, 2)), ("verify-n3.txt", (3,))):
+        golden = Path(__file__).parent / "goldens" / name
+        for n in sizes:
+            for claim_id in claims.CATALOG:
+                assert main(["--quiet", "verify", "--claim", claim_id, "--n", str(n)]) == 0
+        assert capsys.readouterr().out == golden.read_text(), name
 
 
 def test_hunt_writes_witness(tmp_path, capsys):
@@ -202,7 +203,7 @@ def test_map_claim_beyond_sampler_exits_2_before_enumerating(monkeypatch, capsys
     assert "limited to n <= 4" in captured.err
 
 
-@pytest.mark.parametrize("claim_id", ["thm-clthm-formula", "thm-crit-grounded"])
+@pytest.mark.parametrize("claim_id", ["thm-clthm-formula", "thm-crit-grounded", "thm-reconstruct"])
 def test_space_claim_beyond_enumeration_exits_2_before_counting(monkeypatch, capsys, claim_id):
     count = enumeration.extsep_count
 

@@ -11,7 +11,7 @@ import pytest
 
 import closurespaces as cs
 import oracles
-from closurespaces import _kernels, enumeration
+from closurespaces import _kernels, claims, enumeration
 
 
 def _near(n, classes, count):
@@ -107,6 +107,53 @@ def test_space_kernel_matches_oracle(n, name):
         want = SPACE_ORACLES[name](*_as_sets(tables[i], n))
         want = want if isinstance(want, tuple) else (want,)
         assert tuple(bool(v) for v in got[i]) == want, (name, tables[i].tolist())
+
+
+def _relations(n):
+    """Separation rows: every relation up to n = 2; at n = 3 the relations
+    the default sweep samples and 1,000 uniform ones; at n = 4 the rows of
+    20 isotonic pointwise-symmetric samples and their flipped copies."""
+    size = 1 << n
+    npairs = size * (size + 1) // 2
+    if n <= 2:
+        return enumeration._matrix_rows(np.arange(1 << npairs), size)
+    budget = claims.DEFAULT_EVAL_BUDGET if n == 3 else 40 * 8**n
+    loaders, exhaustive = claims._relation_chunks(n, budget, seed=0)
+    sampled = np.concatenate([load() for load in loaders])
+    assert not exhaustive and sampled.shape[0] == (5000 if n == 3 else 40)
+    if n == 4:
+        return sampled
+    uniform = np.random.default_rng(5).integers(0, 1 << npairs, 1000)
+    return np.concatenate([sampled, enumeration._matrix_rows(uniform, size)])
+
+
+def _reconstruction(row, n):
+    # the relation's conditions, then the closure it rebuilds: isotonic,
+    # pointwise-symmetric, and separating exactly the relation's pairs
+    u = frozenset(range(n))
+
+    def mask(subset):
+        return sum(1 << x for x in subset)
+
+    subsets = oracles.powerset(u)
+    pairs = {
+        frozenset({a, b}) for a in subsets for b in subsets if int(row[mask(a)]) >> mask(b) & 1
+    }
+    cl = oracles.reconstructed_closure(u, pairs)
+    return (
+        all(oracles.conditions(u, pairs)),
+        oracles.isotonic(u, cl),
+        oracles.pointwise_symmetric(u, cl),
+        oracles.separated_pairs(u, cl) == pairs,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relation_kernel_matches_oracle(n):
+    rows = _relations(n)
+    got = _kernels.kernel("reconstruct_flags")(rows, n)
+    for i in range(rows.shape[0]):
+        assert tuple(bool(v) for v in got[i]) == _reconstruction(rows[i], n), rows[i].tolist()
 
 
 def _map_side(n, rng):
