@@ -19,6 +19,16 @@ round-trip kernels derive the rows from tables; ``reconstruct_flags`` takes
 separation rows, not tables: it checks the two reconstruction conditions on
 each relation and the table the relation rebuilds.
 
+A row takes no loop over pairs.  Subsets a and b are separated iff b misses
+cl(a) and cl(b) misses a.  The first part depends on the value cl(a) alone,
+so it is one gather from a lookup of 2**n words, ``disjoint[m]`` = the
+subsets that miss m.  The second part is the AND, over the points x of a,
+of the word z[x] = {b : x not in cl(b)}: n packs per table, then one AND
+per subset.  The rows of the table nb that a relation rebuilds turn
+reconstruction condition 2 into one word test: its hypothesis for (a, b),
+a ∩ nb[b] = ∅ and b ∩ nb[a] = ∅, says that nb separates a and b, so the
+condition reads "rebuilt rows ⊆ rows".
+
 Each morphism predicate of a map f: X -> Y says that cl_X(A) misses a set
 outside[A] for every A ⊆ X, and outside depends on the codomain table and
 f alone.  ``build_map_tables`` packs these sets into one bound word per
@@ -69,11 +79,14 @@ def _axiom_flags(tables, n):
         ta = tables[:, a]
         idempotent &= tables[rows, ta] == ta
 
+    # cl(a | b) ⊆ cl(a) | cl(b) holds trivially when one of a, b contains
+    # the other
     sublinear = np.ones(count, bool)
     for a in range(size):
         ta = tables[:, a]
-        for b in range(a, size):
-            sublinear &= (tables[:, a | b] & ~(ta | tables[:, b])) == 0
+        for b in range(a + 1, size):
+            if a & b not in (a, b):
+                sublinear &= (tables[:, a | b] & ~(ta | tables[:, b])) == 0
 
     return (
         np.stack([grounded, isotonic, enlarging, idempotent, sublinear], axis=1)
@@ -149,17 +162,30 @@ def _pack(fields, xs, nx, dtype):
     return np.bitwise_or.reduce(fields.astype(dtype) << shifts, axis=-1)
 
 
+def _disjoint_words(n):
+    # disjoint[m]: the word of the subsets that miss m
+    subsets = np.arange(1 << n)
+    return _pack((subsets[:, None] & subsets) == 0, subsets, 1, np.int64)
+
+
 def _separation_rows(tables, n):
-    # rows[s, a]: bit b set iff subsets a and b are separated in space s
+    # rows[s, a]: bit b set iff subsets a and b are separated in space s,
+    # that is, b misses cl(a) and cl(b) misses a
     if n > MAX_ROW_N:
         raise ValueError(f"a separation row of 2**{n} bits does not fit an int64")
-    subsets = np.arange(1 << n)
-    rows = np.empty(tables.shape, np.int64)
-    for a in subsets:
-        rows[:, a] = _pack(
-            ((a & tables) == 0) & ((tables[:, a, None] & subsets) == 0), subsets, 1, np.int64
-        )
-    return rows
+    # z[x]: the word of the b whose closure misses x, for every table; at
+    # n = 6 the int64 sum wraps into bit 63 as a shift would
+    weights = np.int64(1) << np.arange(1 << n)
+    missing = ~tables
+    z = [(missing >> x & 1) @ weights for x in range(n)]
+    # apart[s, a]: the AND of z[x] over the points x of a.  The subsets whose
+    # highest point is x are the subsets of the lower points, each plus x, so
+    # one slice per point fills them
+    apart = np.empty(tables.shape, np.int64)
+    apart[:, 0] = -1
+    for x in range(n):
+        np.bitwise_and(apart[:, : 1 << x], z[x][:, None], out=apart[:, 1 << x : 2 << x])
+    return _disjoint_words(n)[tables] & apart
 
 
 def _neighbourhoods(rows, n):
@@ -173,28 +199,32 @@ def _neighbourhoods(rows, n):
 
 def _criteria_flags(tables, n):
     count = tables.shape[0]
-    subsets = np.arange(1 << n)
+    size = 1 << n
     rows = _separation_rows(tables, n)
     nb = _neighbourhoods(rows, n)
 
     grounded_crit = nb[:, 0] == 0
 
-    # related pairs must be disjoint: no bit of rows[a] may name a set meeting a
-    meeting = _pack((subsets[:, None] & subsets) != 0, subsets, 1, np.int64)
-    enlarging_crit = ((rows & meeting) == 0).all(axis=1)
+    # related pairs must be disjoint: rows[a] may name only subsets missing a
+    enlarging_crit = ((rows & ~_disjoint_words(n)) == 0).all(axis=1)
 
-    # whatever is related to b and to c is related to b | c
+    # whatever is related to b and to c is related to b | c; this holds
+    # trivially when one of b, c contains the other
     sublinear_crit = np.ones(count, bool)
-    for b in subsets:
-        for c in subsets[b:]:
-            sublinear_crit &= (rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0
+    for b in range(size):
+        for c in range(b + 1, size):
+            if b & c not in (b, c):
+                sublinear_crit &= (rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0
 
-    # the sufficiency condition: b inside nb[a] forces nb[b] inside nb[a]
-    idem_sufficient = np.ones(count, bool)
-    for a in subsets:
-        outside = ~nb[:, a, None]
-        inside = (subsets & outside) == 0
-        idem_sufficient &= ~(inside & ((nb & outside) != 0)).any(axis=1)
+    # the sufficiency condition: b inside nb[a] forces nb[b] inside nb[a].
+    # g[m], the union of nb[b] over every b ⊆ m, must then lie inside m = nb[a].
+    # One OR per point builds g; masks are narrowed to uint8 words
+    nb = nb.astype(np.min_scalar_type(size - 1))
+    g = nb.copy()
+    for x in range(n):
+        halves = g.reshape(count, size >> (x + 1), 2, 1 << x)
+        halves[:, :, 1] |= halves[:, :, 0]
+    idem_sufficient = ((np.take_along_axis(g, nb, axis=1) | nb) == nb).all(axis=1)
 
     return (
         np.stack([grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient], axis=1)
@@ -202,40 +232,38 @@ def _criteria_flags(tables, n):
     )
 
 
-def _conditions(rows, nb, n):
-    # both reconstruction conditions on separation rows and their nb
-    subsets = np.arange(1 << n)
+def _condition1(rows, n):
+    # reconstruction condition 1: rows[b] inside rows[a] for a ⊆ b; dropping
+    # one point at a time reaches every subset, so those pairs suffice
     ok = np.ones(rows.shape[0], bool)
-    # condition 1: rows[b] inside rows[a] for a ⊆ b; dropping one point at a
-    # time reaches every subset, so those pairs suffice
-    for b in subsets:
+    for b in range(1 << n):
         for x in range(n):
             if b >> x & 1:
                 ok &= (rows[:, b] & ~rows[:, b ^ (1 << x)]) == 0
-    # condition 2: a ∩ nb[b] = ∅ and b ∩ nb[a] = ∅ force {a, b} related
-    for a in subsets:
-        hyp = ((a & nb) == 0) & ((subsets & nb[:, a, None]) == 0)
-        unrelated = (rows[:, a, None] >> subsets & 1) == 0
-        ok &= ~(hyp & unrelated).any(axis=1)
     return ok
 
 
 def _roundtrip_flags(tables, n):
     rows = _separation_rows(tables, n)
-    nb = _neighbourhoods(rows, n)
-    return ((nb == tables).all(axis=1) & _conditions(rows, nb, n)).astype(np.uint8)
+    # condition 2 asks that the rows of the table nb rebuilds lie inside rows;
+    # when nb equals the table, those rows are rows itself
+    rebuilds_table = (_neighbourhoods(rows, n) == tables).all(axis=1)
+    return (rebuilds_table & _condition1(rows, n)).astype(np.uint8)
 
 
 def _reconstruct_flags(rows, n):
     # the conditions on the relations, then what the table nb they rebuild
-    # is: isotonic, pointwise-symmetric, separating exactly the given pairs
+    # is: isotonic, pointwise-symmetric, separating exactly the given pairs.
+    # Condition 2 (a ∩ nb[b] = ∅ and b ∩ nb[a] = ∅ force {a, b} related)
+    # reads: the pairs nb separates are related
     nb = _neighbourhoods(rows, n)
+    rebuilt = _separation_rows(nb, n)
     return np.stack(
         [
-            _conditions(rows, nb, n),
+            _condition1(rows, n) & ((rebuilt & ~rows) == 0).all(axis=1),
             _isotonic_all_pairs(nb, n) == 1,
             _symmetry_flags(nb, n)[:, 0] == 1,
-            (_separation_rows(nb, n) == rows).all(axis=1),
+            (rebuilt == rows).all(axis=1),
         ],
         axis=1,
     ).astype(np.uint8)
