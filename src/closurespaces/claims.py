@@ -15,24 +15,27 @@ in catalog order).  A hunt reads its negative claim as the implication it
 denies and evaluates the lexicographic prefix its budget affords, k = 1.
 
 A relation claim is a space claim over the universe 'relations', whose rows
-are separation rows (``_kernels``' relation format) rather than tables: a
-relation costs 8**n evaluations, since its conditions compare subset
-triples, so every relation is checked up to n = 2 and a seeded sample of
-relations beyond.
+are separation rows (``_kernels``' relation format) rather than tables.
 
-Sweeps are exhaustive when the universe fits the evaluation budget (a count
-of subset-pair predicate evaluations, 4**n per space or map instance) and
-seeded samples otherwise; that choice, with its budget check, is made before
-any table is loaded.  Chunks of the universe are then independent jobs on a
-thread pool, merged in chunk order; a report keeps the first VIOLATION_CAP
-witnesses in sweep order, sorted canonically, so it is identical for any
-worker count and chunk size.  Each job loads its own tables: a chunk of
-class 'all' is decoded from its block of the lexicographic universe by the
-pool thread that evaluates it, and a chunk of a cached or sampled universe
-is a slice of an array already in memory.  A job returns only its counts
-and one copy of the rows of its first VIOLATION_CAP violations, so the
-decoded tables in memory stay within workers x chunk size, whatever the
-universe; the merge formats only the witnesses the report keeps.
+The budget counts predicate evaluations: an instance costs 4**n subset-pair
+evaluations as a space or a map, and 8**n as a relation, whose conditions
+compare subset triples (:func:`_instance_cost`, which the hunts read too).
+For each group of implications over one universe, :func:`_plan` alone reads
+the budget and decides, from the universe's size and before any table is
+loaded, what the sweep covers: the whole universe when it streams (n <= 3
+for a class, n <= 2 for the relations) and fits the budget, and a seeded
+sample otherwise, which the report flags with exhaustive=false.
+
+Chunks of the universe are then independent jobs on a thread pool, merged
+in chunk order; a report keeps the first VIOLATION_CAP witnesses in sweep
+order, sorted canonically, so it is identical for any worker count and
+chunk size.  Each job loads its own tables: a chunk of class 'all' is
+decoded from its block of the lexicographic universe by the pool thread
+that evaluates it, and a chunk of a cached or sampled universe is a slice
+of an array already in memory.  A job returns only its counts and one copy
+of the rows of its first VIOLATION_CAP violations, so the decoded tables in
+memory stay within workers x chunk size, whatever the universe; the merge
+formats only the witnesses the report keeps.
 """
 
 from __future__ import annotations
@@ -105,6 +108,10 @@ class MapImplication:
     codomain_class: str
     hypothesis: tuple[str, ...]
     conclusion: tuple[str, ...]
+
+    @property
+    def universe(self) -> tuple[str, str]:
+        return self.domain_class, self.codomain_class
 
 
 @dataclass(frozen=True)
@@ -553,22 +560,6 @@ def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _class_chunks(
-    n: int, cls: str, table_budget: int, seed: int
-) -> tuple[list[Callable[[], np.ndarray]], bool]:
-    """Chunk loaders for the class universe and True, or for a seeded sample
-    of it and False when the universe is over the table budget.
-
-    The budget is checked here, before any chunk is loaded.  A loader of
-    class 'all' decodes its rows when called, on the pool thread that
-    evaluates the chunk."""
-    try:
-        return chunk_loaders(n, cls, budget=table_budget, chunk_size=_CHUNK), True
-    except UniverseTooLarge:
-        tables = sample_tables(n, cls, min(table_budget, SAMPLE_CAP), seed)
-        return slice_loaders(tables, _CHUNK), False
-
-
 def _sweep(
     report, loaders: list, evaluate: Callable, per_row: int, workers: int, exhaustive: bool
 ) -> None:
@@ -588,100 +579,92 @@ def _sweep(
     report.exhaustive = report.exhaustive and exhaustive
 
 
-def _relation_chunks(
-    n: int, budget: int, seed: int
-) -> tuple[list[Callable[[], np.ndarray]], bool]:
-    """Chunk loaders for the separation rows of every relation at size n and
-    True, or for a seeded sample of them and False, at 8**n evaluations per
-    relation.
+def _instance_cost(n: int, universe: str | tuple[str, str] = "all") -> int:
+    """Budget units one instance at carrier size n costs: 4**n subset-pair
+    evaluations for a space or a map, 8**n subset triples for a relation."""
+    return 8**n if universe == "relations" else 4**n
 
-    Only n <= 2 is enumerated: the 2**36 relations at n = 3 are beyond any
-    sweep.  The exhaustive rows set the pairs (a, b), a <= b, in row-major
-    order as the bits of the relation's number.  A sample of ``count`` takes
-    the separation rows of (count + 1) // 2 isotonic pointwise-symmetric
-    spaces, which meet both conditions, and follows each of the first
-    count // 2 with a copy that has one uniformly drawn pair flipped, so
-    that relations failing a condition are checked too."""
+
+def _relation_sample(n: int, count: int, seed: int) -> np.ndarray:
+    """Separation rows of ``count`` relations at size n, deterministic for a
+    fixed seed.
+
+    The sample takes the separation rows of (count + 1) // 2 isotonic
+    pointwise-symmetric spaces, which meet both conditions, and follows each
+    of the first count // 2 with a copy that has one uniformly drawn pair
+    flipped, so that relations failing a condition are checked too."""
     size = 1 << n
-    npairs = size * (size + 1) // 2
-    cost = 8**n
-    if n <= 2 and (1 << npairs) * cost <= budget:
-        return slice_loaders(_matrix_rows(np.arange(1 << npairs), size), _CHUNK), True
-    count = min(SAMPLE_CAP, max(1, budget // cost))
     spaces = sample_tables(n, "isotonic_pointwise_symmetric", (count + 1) // 2, seed)
     derived = _kernels._separation_rows(spaces, n)
     flipped = derived[: count // 2].copy()
-    flips = np.random.default_rng(seed).integers(0, npairs, size=count // 2)
+    flips = np.random.default_rng(seed).integers(0, size * (size + 1) // 2, size=count // 2)
     a, b = (side[flips] for side in np.triu_indices(size))
     i = np.arange(count // 2)
     flipped[i, a] ^= 1 << b
     flipped[i, b] ^= (a != b) << a  # the pair {a, a} is one bit
     rows = np.empty((count, size), np.int64)
     rows[0::2], rows[1::2] = derived, flipped
-    return slice_loaders(rows, _CHUNK), False
+    return rows
 
 
-def _verify_space_claim(
-    claim: Claim, n: int, budget: int, seed: int, workers: int
-) -> VerificationReport:
-    """Sweep the implications of a space or relation claim, one universe at
-    a time: a class of tables at 4**n evaluations per table, or the
-    separation relations."""
-    report = VerificationReport(claim.id, n, 0)
+def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
+    """What the sweep of one group of implications covers, decided before
+    any table is loaded: returns the chunk loaders, the block function, the
+    instances per row and whether the sweep is exhaustive.
 
-    groups: dict[str, list[SpaceImplication]] = {}
-    for impl in claim.implications:
-        groups.setdefault(impl.universe, []).append(impl)
-
-    for gi, (universe, impls) in enumerate(groups.items()):
-        if universe == "relations":
-            loaders, exhaustive = _relation_chunks(n, budget, seed + gi)
-            witness = _relation_witness
-        else:
-            loaders, exhaustive = _class_chunks(n, universe, max(1, budget // 4**n), seed + gi)
-            witness = _space_witness
-        evaluate = partial(_space_block, n, witness, impls, VIOLATION_CAP)
-        _sweep(report, loaders, evaluate, 1, workers, exhaustive)
-    return report
-
-
-def _verify_map_claim(
-    claim: Claim, n: int, budget: int, seed: int, workers: int
-) -> VerificationReport:
+    The group's universe is a table class, the relations, or the maps from a
+    domain class to a codomain class.  It is swept whole when it streams
+    (n <= 3 for a class, n <= 2 for the relations) and its size fits the
+    budget at :func:`_instance_cost` per instance; otherwise a seeded sample
+    is, of at most SAMPLE_CAP rows, or MAP_SAMPLE_CAP tables per map side.
+    A map sweep holds its codomain, and the codomain's bound words, in
+    memory, so a codomain of class 'all' is swept whole only up to n = 2.
+    Group ``gi`` samples with seed + gi, or seed + 101 gi + 2 and + 3 for
+    the two map sides.  No other part of a verify sweep reads the budget.
+    """
     if n > SAMPLE_MAX_N:
-        # no universe at such n is sampled or within reach of a full sweep,
-        # so fail before the n**n assignments are enumerated
-        raise UniverseTooLarge(f"map claims are limited to n <= {SAMPLE_MAX_N}, got {n}")
-    cost = 4**n
-    fcount = n**n
-    report = VerificationReport(claim.id, n, 0)
-
-    groups: dict[tuple[str, str], list[MapImplication]] = {}
-    for impl in claim.implications:
-        groups.setdefault((impl.domain_class, impl.codomain_class), []).append(impl)
-
-    for gi, ((cls_x, cls_y), impls) in enumerate(groups.items()):
-        # decided from the class sizes alone, before any table is loaded: a
-        # map sweep holds both universes in memory, which only the streams
-        # up to n = 3 allow
+        # no universe at such n is sampled or streamed, so fail before any
+        # class is counted or the n**n assignments are enumerated
+        raise UniverseTooLarge(f"sampling is limited to n <= {SAMPLE_MAX_N}, got {n}")
+    universe = impls[0].universe
+    affordable = max(1, budget // _instance_cost(n, universe))
+    if isinstance(universe, tuple):  # the maps from one class to another
+        cls_x, cls_y = universe
+        fcount = n**n
         exhaustive = (
             n <= _STREAM_MAX_N
-            and class_size(n, cls_x) * class_size(n, cls_y) * fcount * cost <= budget
+            and (cls_y != "all" or n <= 2)
+            and class_size(n, cls_x) * class_size(n, cls_y) * fcount <= affordable
         )
         if exhaustive:
-            tx, ty = (
-                np.concatenate([load() for load in chunk_loaders(n, cls, budget)])
-                for cls in (cls_x, cls_y)
-            )
+            ty = np.concatenate([load() for load in chunk_loaders(n, cls_y)])
         else:
-            side = max(1, min(MAP_SAMPLE_CAP, int((budget // (cost * fcount)) ** 0.5)))
+            side = max(1, min(MAP_SAMPLE_CAP, int((affordable // fcount) ** 0.5)))
             tx = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
             ty = sample_tables(n, cls_y, side, seed + 101 * gi + 3)
         per_x = ty.shape[0] * fcount
-        loaders = slice_loaders(tx, max(1, _CHUNK // per_x))
-        evaluate = _map_block(n, n, ty, impls, VIOLATION_CAP)
-        _sweep(report, loaders, evaluate, per_x, workers, exhaustive)
-    return report
+        chunk = max(1, _CHUNK // per_x)
+        loaders = (
+            chunk_loaders(n, cls_x, chunk_size=chunk) if exhaustive else slice_loaders(tx, chunk)
+        )
+        return loaders, _map_block(n, n, ty, impls, VIOLATION_CAP), per_x, exhaustive
+    if universe == "relations":
+        pairs = (1 << n) * ((1 << n) + 1) // 2  # the pairs (a, b) with a <= b
+        exhaustive = n <= 2 and (1 << pairs) <= affordable
+        if exhaustive:  # relation m sets the pairs, in row-major order, as the bits of m
+            rows = _matrix_rows(np.arange(1 << pairs), 1 << n)
+        else:
+            rows = _relation_sample(n, min(SAMPLE_CAP, affordable), seed + gi)
+        loaders, witness = slice_loaders(rows, _CHUNK), _relation_witness
+    else:
+        exhaustive = n <= _STREAM_MAX_N and class_size(n, universe) <= affordable
+        if exhaustive:
+            loaders = chunk_loaders(n, universe, chunk_size=_CHUNK)
+        else:
+            tables = sample_tables(n, universe, min(SAMPLE_CAP, affordable), seed + gi)
+            loaders = slice_loaders(tables, _CHUNK)
+        witness = _space_witness
+    return loaders, partial(_space_block, n, witness, impls, VIOLATION_CAP), 1, exhaustive
 
 
 def verify_claim(
@@ -693,19 +676,23 @@ def verify_claim(
 ) -> VerificationReport:
     """Sweep one catalog claim over its universe at carrier size n.
 
-    The report keeps the witnesses of the first VIOLATION_CAP violations in
-    sweep order, sorted canonically.  Raises InvalidSweepArgument when n,
-    budget or workers is below 1.
+    The implications are swept in groups, one per universe, each as
+    :func:`_plan` decides.  The report keeps the witnesses of the first
+    VIOLATION_CAP violations in sweep order, sorted canonically.  Raises
+    InvalidSweepArgument when n, budget or workers is below 1.
     """
     if claim_id not in CATALOG:
         raise UnknownClaim(f"unknown claim id: {claim_id!r}")
     _require_at_least(1, n=n, budget=budget, workers=workers)
     claim = CATALOG[claim_id]
     start = time.perf_counter()
-    if claim.kind == "map":
-        report = _verify_map_claim(claim, n, budget, seed, workers)
-    else:
-        report = _verify_space_claim(claim, n, budget, seed, workers)
+    report = VerificationReport(claim.id, n, 0)
+    groups: dict = {}
+    for impl in claim.implications:
+        groups.setdefault(impl.universe, []).append(impl)
+    for gi, impls in enumerate(groups.values()):
+        loaders, evaluate, per_row, exhaustive = _plan(n, impls, budget, seed, gi)
+        _sweep(report, loaders, evaluate, per_row, workers, exhaustive)
     report.violations.sort(key=_canonical_key)
     report.elapsed = time.perf_counter() - start
     return report
@@ -729,7 +716,7 @@ def _first_witness(n: int, scan: int, block: int, evaluate: Callable) -> dict | 
 def _hunt_spaces(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
     spent = 0
     for n in range(1, n_max + 1):
-        cost = 4**n
+        cost = _instance_cost(n)
         size = 1 << n
         scan = min(size**size, (budget - spent) // cost)
         evaluate = partial(_space_block, n, _space_witness, (neg,), 1)
@@ -747,7 +734,7 @@ def _hunt_maps(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
     )
     spent = 0
     for nx, ny in sizes:
-        cost = 4 ** max(nx, ny)
+        cost = _instance_cost(max(nx, ny))
         ty_total = (1 << ny) ** (1 << ny)
         per_x = ty_total * ny**nx  # codomain tables times assignments
         scan = min((1 << nx) ** (1 << nx), (budget - spent) // (cost * per_x))

@@ -55,11 +55,14 @@ CLASSES = (
 )
 
 SAMPLE_MAX_N = 4
-_STREAM_MAX_N = 3  # the streams of the generated classes are arrays in memory
+# every class streams up to n = 3: the streams of the generated classes are
+# arrays in memory (the 168**4 isotonic tables at n = 4 would take 102 GB),
+# and class 'all' has 16**16 tables at n = 4
+_STREAM_MAX_N = 3
 
 
 class UniverseTooLarge(ClosureSpaceError):
-    """Requested exhaustive stream exceeds the table budget."""
+    """Requested stream or sample lies beyond the n its generator supports."""
 
 
 class UnknownClass(ClosureSpaceError):
@@ -306,26 +309,21 @@ def slice_loaders(tables: np.ndarray, chunk_size: int) -> list[Callable[[], np.n
 
 
 def chunk_loaders(
-    n: int, cls: str, budget: int, chunk_size: int = 1 << 14
+    n: int, cls: str, *, chunk_size: int = 1 << 14
 ) -> list[Callable[[], np.ndarray]]:
     """The class universe as loaders of consecutive chunks, in lexicographic
     order; calling a loader returns its chunk as an int64 table array.
 
-    The class size is checked against ``budget`` here, before any chunk is
-    loaded: raises UniverseTooLarge when the class has more than ``budget``
-    tables, or when n > 3 for a class other than 'all'.  A loader
-    of class 'all' decodes its rows only when called, so a caller holds only
-    the chunks it is evaluating; the other classes are cached arrays, sliced.
+    Raises UniverseTooLarge when n > 3, for every class.  Whether a universe
+    is worth sweeping is the caller's decision, made from :func:`class_size`.
+    A loader of class 'all' decodes its rows only when called, so a caller
+    holds only the chunks it is evaluating; the other classes are cached
+    arrays, sliced.
     """
     _check_class(cls)
-    if cls != "all":
-        _check_stream(n, cls)  # before counting, which may not fit in memory
-    total = class_size(n, cls)
-    if total > budget:
-        raise UniverseTooLarge(
-            f"class {cls!r} at n={n} has {total} tables, over the budget of {budget}"
-        )
+    _check_stream(n, cls)  # before counting, which may not fit in memory
     if cls == "all":
+        total = class_size(n, cls)
         return [
             partial(all_tables_block, n, start, min(start + chunk_size, total))
             for start in range(0, total, chunk_size)
@@ -339,12 +337,10 @@ def chunk_loaders(
     return slice_loaders(tables, chunk_size)
 
 
-def iter_table_chunks(
-    n: int, cls: str, budget: int, chunk_size: int = 1 << 14
-) -> Iterator[np.ndarray]:
+def iter_table_chunks(n: int, cls: str, *, chunk_size: int = 1 << 14) -> Iterator[np.ndarray]:
     """Stream the class universe as int64 table arrays in lexicographic
     order: the chunks of :func:`chunk_loaders`, loaded one at a time."""
-    for load in chunk_loaders(n, cls, budget, chunk_size):
+    for load in chunk_loaders(n, cls, chunk_size=chunk_size):
         yield load()
 
 

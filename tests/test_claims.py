@@ -90,12 +90,15 @@ def test_reconstruct_claim_samples_n3_whatever_the_budget():
     "n,count,seed", [(2, 7, 0), (2, 10, 1), (3, 5000, 0), (3, 11, 3), (4, 9, 0), (4, 20, 5)]
 )
 def test_relation_sample_matches_the_oracle(n, count, seed):
-    # the sweep flips its pairs in one vector pass; the oracle builds the
+    # the sampler flips its pairs in one vector pass; the oracle builds the
     # same relations one at a time
-    loaders, exhaustive = claims._relation_chunks(n, count * 8**n, seed)
-    assert not exhaustive
-    rows = np.concatenate([load() for load in loaders])
+    rows = claims._relation_sample(n, count, seed)
     assert rows.tolist() == oracles.relation_sample(n, count, seed)
+    # a budget of count relations at 8**n evaluations each plans that sample
+    impls = claims.CATALOG["thm-reconstruct"].implications
+    loaders, _, per_row, exhaustive = claims._plan(n, impls, count * 8**n, seed, 0)
+    assert not exhaustive and per_row == 1
+    assert np.concatenate([load() for load in loaders]).tolist() == rows.tolist()
 
 
 def test_sampled_sweep_is_flagged_and_seed_deterministic():
@@ -105,6 +108,38 @@ def test_sampled_sweep_is_flagged_and_seed_deterministic():
     assert not one.exhaustive
     assert one.instances_checked == two.instances_checked > 0
     assert one.total_violations == two.total_violations == 0
+
+
+def test_over_budget_space_sweep_plans_before_loading(monkeypatch):
+    # the 16,777,216 tables at n = 3 are over the default budget, so the
+    # sweep samples without asking enumeration for the universe
+    def loaders(*args, **kwargs):
+        raise AssertionError("asked for the class universe")
+
+    monkeypatch.setattr(claims, "chunk_loaders", loaders)
+    report = cs.verify_claim("cor-r0", 3)
+    assert report.summary() == "claim=cor-r0 n=3 checked=5000 violations=0 exhaustive=false"
+
+
+def test_all_tables_at_n4_are_sampled_whatever_the_budget():
+    # 16**16 tables at 4**4 evaluations each fit this budget, but class
+    # 'all' streams only up to n = 3; a plan of 2**50 chunk loaders would
+    # exhaust memory
+    start = time.perf_counter()
+    report = cs.verify_claim("cor-r0", 4, budget=10**22)
+    assert time.perf_counter() - start < 1.0
+    assert report.summary() == "claim=cor-r0 n=4 checked=5000 violations=0 exhaustive=false"
+
+
+def test_map_sweep_onto_all_tables_at_n3_is_sampled_whatever_the_budget():
+    # the budget covers the 8,000 x 16,777,216 x 27 maps, but their codomain
+    # would be held in memory: 1 GB of tables and 7.2 GB of bound words
+    start = time.perf_counter()
+    report = cs.verify_claim("cor-cont-implies-ns", 3, budget=3 * 10**14)
+    assert time.perf_counter() - start < 5.0
+    assert report.summary() == (
+        "claim=cor-cont-implies-ns n=3 checked=1080000 violations=0 exhaustive=false"
+    )
 
 
 def test_worker_count_does_not_change_reports():
@@ -127,7 +162,7 @@ def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     monkeypatch.setattr(claims, "_CHUNK", 16)
-    loaders, exhaustive = claims._class_chunks(2, "all", 256, seed=0)
+    loaders, _, _, exhaustive = claims._plan(2, bogus.implications, 256 * 4**2, 0, 0)
     assert len(loaders) == 16 and exhaustive
     solo = cs.verify_claim(bogus.id, 2, workers=1)
     trio = cs.verify_claim(bogus.id, 2, workers=3)

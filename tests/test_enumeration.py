@@ -7,15 +7,11 @@ import closurespaces as cs
 import oracles
 from closurespaces import _kernels, enumeration
 
-BUDGET = 200_000
 
-
-def _stream(n, cls, budget=BUDGET):
+def _stream(n, cls):
     """Every table of the class as a tuple, in stream order."""
     return [
-        tuple(row)
-        for chunk in enumeration.iter_table_chunks(n, cls, budget)
-        for row in chunk.tolist()
+        tuple(row) for chunk in enumeration.iter_table_chunks(n, cls) for row in chunk.tolist()
     ]
 
 
@@ -113,15 +109,26 @@ def test_stream_determinism():
 
 
 def test_universe_too_large():
-    with pytest.raises(cs.UniverseTooLarge):
-        _stream(3, "all")
-    with pytest.raises(cs.UniverseTooLarge):
-        _stream(4, "isotonic")
-    # the n=3 full universe opens up behind an explicit budget
-    chunks = enumeration.iter_table_chunks(3, "all", budget=8**8)
+    # every class streams up to n = 3 and no further, 'all' included
+    for cls in ("all", "isotonic"):
+        with pytest.raises(cs.UniverseTooLarge):
+            enumeration.chunk_loaders(4, cls)
+        with pytest.raises(cs.UniverseTooLarge):
+            _stream(4, cls)
+    # the n=3 full universe streams, decoded a chunk at a time
+    chunks = enumeration.iter_table_chunks(3, "all")
     first = next(chunks)
-    assert first.shape[1] == 8
+    assert first.shape == (1 << 14, 8)
     assert [int(v) for v in first[0]] == [0] * 8
+
+
+def test_chunk_size_is_keyword_only():
+    # enumeration takes no budget: a positional count is refused, not read
+    # as a chunk size
+    for stream in (enumeration.chunk_loaders, enumeration.iter_table_chunks):
+        with pytest.raises(TypeError):
+            list(stream(2, "all", 200_000))
+    assert len(enumeration.chunk_loaders(2, "all", chunk_size=100)) == 3
 
 
 def test_unknown_class():
@@ -210,7 +217,7 @@ def test_no_generator_calls_a_kernel(monkeypatch):
             fn.cache_clear()  # so nothing is served from an earlier build
     for n in (1, 2, 3):
         for cls in cs.CLASSES:
-            for load in enumeration.chunk_loaders(n, cls, 8**8):
+            for load in enumeration.chunk_loaders(n, cls):
                 load()
     for n in (3, 4):
         for cls in cs.CLASSES:

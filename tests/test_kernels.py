@@ -154,10 +154,7 @@ def _relations(n):
     npairs = size * (size + 1) // 2
     if n <= 2:
         return enumeration._matrix_rows(np.arange(1 << npairs), size)
-    budget = claims.DEFAULT_EVAL_BUDGET if n == 3 else 40 * 8**n
-    loaders, exhaustive = claims._relation_chunks(n, budget, seed=0)
-    sampled = np.concatenate([load() for load in loaders])
-    assert not exhaustive and sampled.shape[0] == (5000 if n == 3 else 40)
+    sampled = claims._relation_sample(n, 5000 if n == 3 else 40, seed=0)
     if n == 4:
         return sampled
     uniform = np.random.default_rng(5).integers(0, 1 << npairs, 1000)

@@ -176,7 +176,7 @@ def test_every_relation_matches_oracles(n):
 
 
 def _class_spaces(n, cls):
-    for chunk in enumeration.iter_table_chunks(n, cls, 200_000):
+    for chunk in enumeration.iter_table_chunks(n, cls):
         for table in chunk.tolist():
             yield cs.make_space(cs.ground(n), table)
 
