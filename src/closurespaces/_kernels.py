@@ -6,7 +6,7 @@ loops run only over subsets and points, whose number depends on n alone.
 ``python3 perfbench/run.py`` times the kernels inside the sweeps that use
 them.
 
-Tables arrive as int64 arrays of shape (count, 2**n); flag outputs are uint8
+Tables arrive as int64 arrays of shape (count, 2**n); flag outputs are bool
 with one row per instance.  Kernels are pure, so chunk sweeps may run on a
 thread pool.
 
@@ -14,10 +14,13 @@ The relation kernels hold separated pairs in the row format of
 ``separation.SeparationRelation``: an int64 array of shape (count, 2**n)
 whose bit b of ``rows[s, a]`` is set iff subsets a and b are separated in
 space s, or related in relation s.  A row holds 2**n bits, so these kernels
-accept n <= MAX_ROW_N = 6; the sweeps stop at n = 4.  The criteria and
-round-trip kernels derive the rows from tables; ``reconstruct_flags`` takes
-separation rows, not tables: it checks the two reconstruction conditions on
-each relation and the table the relation rebuilds.
+accept n <= MAX_ROW_N = 6; the sweeps stop at n = 4.  The formula,
+criteria and round-trip kernels derive the rows from tables, and read the
+closure the separated pairs determine off them as one route, the
+neighbourhoods nb[a] = {x : {x} and a are not separated};
+``reconstruct_flags`` takes separation rows, not tables: it checks the two
+reconstruction conditions on each relation and the table the relation
+rebuilds.
 
 A row takes no loop over pairs.  Subsets a and b are separated iff b misses
 cl(a) and cl(b) misses a.  The first part depends on the value cl(a) alone,
@@ -88,10 +91,7 @@ def _axiom_flags(tables, n):
             if a & b not in (a, b):
                 sublinear &= (tables[:, a | b] & ~(ta | tables[:, b])) == 0
 
-    return (
-        np.stack([grounded, isotonic, enlarging, idempotent, sublinear], axis=1)
-        .astype(np.uint8)
-    )
+    return np.stack([grounded, isotonic, enlarging, idempotent, sublinear], axis=1)
 
 
 def _isotonic_all_pairs(tables, n):
@@ -106,7 +106,7 @@ def _isotonic_all_pairs(tables, n):
             if a == 0:
                 break
             a = (a - 1) & b
-    return iso.astype(np.uint8)
+    return iso
 
 
 def _symmetry_flags(tables, n):
@@ -136,22 +136,7 @@ def _symmetry_flags(tables, n):
             bad[0] |= (cx >> y) & ~(cols[1 << y] >> x)
             bad[1] |= (inter[x] >> y) & ~(inter[y] >> x)
             bad[2] |= (cx >> y) & ~(inter[y] >> x)
-    return ((bad & 1) == 0).T.astype(np.uint8)
-
-
-def _formula_flags(tables, n):
-    # does cl(A) equal {x : {x} and A are not separated}, for every A?
-    count = tables.shape[0]
-    size = 1 << n
-    ok = np.ones(count, bool)
-    for a in range(size):
-        ta = tables[:, a]
-        m = np.zeros(count, np.int64)
-        for x in range(n):
-            hit = (((1 << x) & ta) != 0) | ((tables[:, 1 << x] & a) != 0)
-            m |= hit.astype(np.int64) << x
-        ok &= m == ta
-    return ok.astype(np.uint8)
+    return ((bad & 1) == 0).T
 
 
 def _pack(fields, xs, nx, dtype):
@@ -197,6 +182,11 @@ def _neighbourhoods(rows, n):
     return nb
 
 
+def _formula_flags(tables, n):
+    # does cl(A) equal {x : {x} and A are not separated}, for every A?
+    return (_neighbourhoods(_separation_rows(tables, n), n) == tables).all(axis=1)
+
+
 def _criteria_flags(tables, n):
     count = tables.shape[0]
     size = 1 << n
@@ -226,10 +216,7 @@ def _criteria_flags(tables, n):
         halves[:, :, 1] |= halves[:, :, 0]
     idem_sufficient = ((np.take_along_axis(g, nb, axis=1) | nb) == nb).all(axis=1)
 
-    return (
-        np.stack([grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient], axis=1)
-        .astype(np.uint8)
-    )
+    return np.stack([grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient], axis=1)
 
 
 def _condition1(rows, n):
@@ -248,7 +235,7 @@ def _roundtrip_flags(tables, n):
     # condition 2 asks that the rows of the table nb rebuilds lie inside rows;
     # when nb equals the table, those rows are rows itself
     rebuilds_table = (_neighbourhoods(rows, n) == tables).all(axis=1)
-    return (rebuilds_table & _condition1(rows, n)).astype(np.uint8)
+    return rebuilds_table & _condition1(rows, n)
 
 
 def _reconstruct_flags(rows, n):
@@ -261,12 +248,12 @@ def _reconstruct_flags(rows, n):
     return np.stack(
         [
             _condition1(rows, n) & ((rebuilt & ~rows) == 0).all(axis=1),
-            _isotonic_all_pairs(nb, n) == 1,
-            _symmetry_flags(nb, n)[:, 0] == 1,
+            _isotonic_all_pairs(nb, n),
+            _symmetry_flags(nb, n)[:, 0],
             (rebuilt == rows).all(axis=1),
         ],
         axis=1,
-    ).astype(np.uint8)
+    )
 
 
 def _closure_bound(ty, pres, ys, xs, nx, dtype):
@@ -297,7 +284,7 @@ def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
             f"tables and {fmaps.shape[0]} assignments"
         )
     words = _pack(tx_block, np.arange(1 << nx), nx, bounds.dtype)
-    return ((words[:, None, None, None] & bounds) == 0).astype(np.uint8)
+    return (words[:, None, None, None] & bounds) == 0
 
 
 _KERNELS = {

@@ -6,13 +6,18 @@ predicate definitionally through the batch kernels (or the plain library
 functions for the slow audit predicates), so no claim is checked by the
 implication it states.
 
-One evaluator, :func:`_violations`, and one sweep, :func:`_sweep`, serve
-all three claim kinds, spaces, maps and relations, and the hunts: on a
-block of instances the evaluator counts the (instance, implication) pairs
-whose hypothesis holds and whose conclusions do not all hold, and names the
-instances of the first k in sweep order (instance by instance, implications
-in catalog order).  A hunt reads its negative claim as the implication it
-denies and evaluates the lexicographic prefix its budget affords, k = 1.
+One evaluator, :func:`_violations`, serves the claims over spaces, maps
+and relations, and the hunts: on a block of instances it counts the
+(instance, implication) pairs whose hypothesis holds and whose conclusions
+do not all hold, and names the instances of the first k in sweep order
+(instance by instance, implications in catalog order).  Predicate columns
+are bool, as the kernels return them.  A verify sweep runs through
+:func:`_sweep`.  A hunt reads its negative claim as the implication it
+denies and runs one loop over size steps: n for a space claim, and (nx, ny)
+ordered by nx + ny, then nx, for a map claim.  Each step evaluates, with
+k = 1, the lexicographic prefix of the domain tables at nx that the rest of
+the budget affords, and a step that affords none is skipped before its
+codomain is built.
 
 A relation claim is a space claim over the universe 'relations', whose rows
 are separation rows (``_kernels``' relation format) rather than tables.
@@ -26,21 +31,23 @@ loaded, what the sweep covers: the whole universe when it streams (n <= 3
 for a class, n <= 2 for the relations) and fits the budget, and a seeded
 sample otherwise, which the report flags with exhaustive=false.
 
-Chunks of the universe are then independent jobs on a thread pool, merged
-in chunk order; a report keeps the first VIOLATION_CAP witnesses in sweep
-order, sorted canonically, so it is identical for any worker count and
-chunk size.  Each job loads its own tables: a chunk of class 'all' is
-decoded from its block of the lexicographic universe by the pool thread
-that evaluates it, and a chunk of a cached or sampled universe is a slice
-of an array already in memory.  A job returns only its counts and one copy
-of the rows of its first VIOLATION_CAP violations, so the decoded tables in
-memory stay within workers x chunk size, whatever the universe; the merge
-formats only the witnesses the report keeps.
+Chunks of the universe are then independent jobs on a thread pool of at
+most one thread per core, merged in chunk order; a report keeps the first
+VIOLATION_CAP witnesses in sweep order, sorted canonically, so it is
+identical for any worker count and chunk size.  Each job loads its own
+tables: a chunk of class 'all' is decoded from its block of the
+lexicographic universe by the pool thread that evaluates it, and a chunk of
+a cached or sampled universe is a slice of an array already in memory.  A
+job returns only its counts and one copy of the rows of its first
+VIOLATION_CAP violations, so the decoded tables in memory stay within
+workers x chunk size, whatever the universe; the merge formats only the
+witnesses the report keeps.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -118,7 +125,6 @@ class MapImplication:
 class Claim:
     id: str
     description: str
-    kind: str  # "space" | "map" | "relation"
     implications: tuple
 
 
@@ -166,13 +172,11 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "axioms-equiv-check",
             "fast profile evaluation agrees with the literal definitional sweep",
-            "space",
             (SpaceImplication("all", (), ("profile_consistent",)),),
         ),
         Claim(
             "cor-r0",
             "exterior-separated spaces are pointwise-symmetric and r0",
-            "space",
             (
                 SpaceImplication(
                     "all", ("exterior_separated",), ("pointwise_symmetric", "r0")
@@ -182,7 +186,6 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-equiv-isotonic",
             "pointwise-symmetric, r0, and exterior-separated coincide on isotonic spaces",
-            "space",
             (
                 SpaceImplication("isotonic", ("pointwise_symmetric",), ("r0",)),
                 SpaceImplication("isotonic", ("r0",), ("exterior_separated",)),
@@ -194,13 +197,11 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-clthm-formula",
             "closure tables of exterior-separated spaces are determined by their separated pairs",
-            "space",
             (SpaceImplication("exterior_separated", (), ("reconstruction_formula",)),),
         ),
         Claim(
             "thm-reconstruct",
             "relations passing both conditions rebuild an isotonic pointwise-symmetric space with the same separated pairs",
-            "relation",
             (
                 SpaceImplication(
                     "relations",
@@ -212,31 +213,26 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-roundtrip",
             "isotonic pointwise-symmetric spaces survive the relation round-trip",
-            "space",
             (SpaceImplication("isotonic_pointwise_symmetric", (), ("roundtrip_ok",)),),
         ),
         Claim(
             "thm-crit-grounded",
             "the relation-level groundedness criterion matches the axiom on exterior-separated spaces",
-            "space",
             (SpaceImplication("exterior_separated", (), ("grounded_matches_criterion",)),),
         ),
         Claim(
             "thm-crit-enlarging",
             "the disjoint-pairs criterion matches the enlarging axiom on exterior-separated spaces",
-            "space",
             (SpaceImplication("exterior_separated", (), ("enlarging_matches_criterion",)),),
         ),
         Claim(
             "thm-crit-sublinear",
             "the union-closure criterion matches the sub-linear axiom on exterior-separated spaces",
-            "space",
             (SpaceImplication("exterior_separated", (), ("sublinear_matches_criterion",)),),
         ),
         Claim(
             "thm-idem-sufficient",
             "on enlarging exterior-separated spaces the sufficiency condition forces idempotence",
-            "space",
             (
                 SpaceImplication(
                     "exterior_separated",
@@ -248,7 +244,6 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-idem-necessary",
             "isotonic idempotent exterior-separated spaces satisfy the sufficiency condition",
-            "space",
             (
                 SpaceImplication(
                     "exterior_separated",
@@ -260,7 +255,6 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-cp-cont",
             "closure-preserving and continuous imply each other across isotonic sides",
-            "map",
             (
                 MapImplication("all", "isotonic", ("closure_preserving",), ("continuous",)),
                 MapImplication("isotonic", "all", ("continuous",), ("closure_preserving",)),
@@ -269,19 +263,16 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-cp-implies-ns",
             "closure-preserving maps are nonseparating, with no axioms on either side",
-            "map",
             (MapImplication("all", "all", ("closure_preserving",), ("nonseparating",)),),
         ),
         Claim(
             "cor-cont-implies-ns",
             "continuous maps with isotonic domain are nonseparating",
-            "map",
             (MapImplication("isotonic", "all", ("continuous",), ("nonseparating",)),),
         ),
         Claim(
             "thm-preimage",
             "nonseparating matches preimage separation across isotonic sides",
-            "map",
             (
                 MapImplication(
                     "all", "isotonic", ("nonseparating",), ("preimage_separating",)
@@ -294,7 +285,6 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-ns-iff-cp",
             "nonseparating equals closure-preserving onto exterior-separated codomains",
-            "map",
             (
                 MapImplication(
                     "all", "exterior_separated", ("nonseparating",), ("closure_preserving",)
@@ -307,7 +297,6 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "cor-ns-iff-cont",
             "nonseparating equals continuous for isotonic spaces with pointwise-symmetric codomain",
-            "map",
             (
                 MapImplication(
                     "isotonic",
@@ -434,7 +423,7 @@ class _SpaceColumns:
             return self._cache[name]
         if name in _FLAG_COLUMNS:
             kernel_name, column = _FLAG_COLUMNS[name]
-            col = self._flags(kernel_name)[:, column] == 1
+            col = self._flags(kernel_name)[:, column]
         elif name in _MATCH_PAIRS:
             ax_name, crit_name = _MATCH_PAIRS[name]
             col = self.get(ax_name) == self.get(crit_name)
@@ -450,8 +439,8 @@ class _SpaceColumns:
         # against the plain per-space library evaluation
         ax = self._flags("axiom_flags")
         ok = ax[:, 1] == self._flags("isotonic_all_pairs")[:, 0]
-        ax_rows = (ax == 1).tolist()
-        sym_rows = (self._flags("symmetry_flags") == 1).tolist()
+        ax_rows = ax.tolist()
+        sym_rows = self._flags("symmetry_flags").tolist()
         g = ground(self.n)
         for i, row in enumerate(self.tables.tolist()):
             sp = Space(g, tuple(row))
@@ -482,12 +471,13 @@ def _map_witness(nx: int, ny: int, row: np.ndarray) -> dict:
 def _violations(shape: tuple, get: Callable, implications, k: int) -> tuple[int, tuple]:
     """Evaluate implications on a block of instances indexed by ``shape``.
 
-    ``get`` gives a named predicate's column over the block (broadcastable
-    to ``shape``).  Returns the number of (instance, implication) pairs
-    whose hypothesis holds and whose conclusions do not all hold, and the
-    instances of the first k of them in sweep order (instance by instance,
-    each instance's implications in the order given) as one index array per
-    axis of ``shape``.
+    ``get`` gives a named predicate's bool column over the block
+    (broadcastable to ``shape``); a column may be a view of a kernel's
+    output or a cached column, so it is read, never written.  Returns the
+    number of (instance, implication) pairs whose hypothesis holds and
+    whose conclusions do not all hold, and the instances of the first k of
+    them in sweep order (instance by instance, each instance's implications
+    in the order given) as one index array per axis of ``shape``.
     """
 
     def holds(names: tuple[str, ...]) -> np.ndarray:
@@ -534,7 +524,7 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
 
         def get(name: str) -> np.ndarray:
             if name in MAP_PREDICATES:
-                return out[..., MAP_PREDICATES[name]] == 1
+                return out[..., MAP_PREDICATES[name]]
             if name.startswith("domain_"):
                 return x_cols.get(name.removeprefix("domain_"))[:, None, None]
             if name.startswith("codomain_"):
@@ -554,6 +544,9 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
 
 
 def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
+    # the executor starts a thread per job while none is idle, and each job
+    # holds a decoded chunk, so no more threads than cores
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -713,42 +706,6 @@ def _first_witness(n: int, scan: int, block: int, evaluate: Callable) -> dict | 
     return None
 
 
-def _hunt_spaces(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
-    spent = 0
-    for n in range(1, n_max + 1):
-        cost = _instance_cost(n)
-        size = 1 << n
-        scan = min(size**size, (budget - spent) // cost)
-        evaluate = partial(_space_block, n, _space_witness, (neg,), 1)
-        witness = _first_witness(n, scan, _CHUNK, evaluate)
-        if witness is not None:
-            return witness
-        spent += scan * cost
-    return None
-
-
-def _hunt_maps(neg: NegativeClaim, n_max: int, budget: int) -> dict | None:
-    sizes = sorted(
-        ((nx, ny) for nx in range(1, n_max + 1) for ny in range(1, n_max + 1)),
-        key=lambda p: (p[0] + p[1], p[0], p[1]),
-    )
-    spent = 0
-    for nx, ny in sizes:
-        cost = _instance_cost(max(nx, ny))
-        ty_total = (1 << ny) ** (1 << ny)
-        per_x = ty_total * ny**nx  # codomain tables times assignments
-        scan = min((1 << nx) ** (1 << nx), (budget - spent) // (cost * per_x))
-        if not scan:
-            # a later, smaller size pair may still fit; build nothing here
-            continue
-        evaluate = _map_block(nx, ny, all_tables_block(ny, 0, ty_total), (neg,), 1)
-        witness = _first_witness(nx, scan, max(1, _CHUNK // per_x), evaluate)
-        if witness is not None:
-            return witness
-        spent += scan * per_x * cost
-    return None
-
-
 def hunt_counterexample(
     claim_id: str,
     n_max: int = 2,
@@ -770,8 +727,30 @@ def hunt_counterexample(
     _require_at_least(1, n_max=n_max)
     _require_at_least(0, budget=budget)
     neg = NEGATIVE_CATALOG[claim_id]
-    hunt = _hunt_spaces if neg.kind == "space" else _hunt_maps
-    witness = hunt(neg, n_max, budget)
-    if witness is not None:
-        witness["claim"] = neg.id
-    return witness
+    maps = neg.kind == "map"
+    sizes = range(1, n_max + 1)
+    if maps:
+        steps = sorted(((nx, ny) for nx in sizes for ny in sizes), key=lambda p: (sum(p), p[0]))
+    else:
+        steps = [(n, n) for n in sizes]
+    spent = 0
+    for nx, ny in steps:
+        # each domain table at nx stands for per_x instances: itself as a
+        # space, or its maps into every codomain table under every assignment
+        per_x = class_size(ny, "all") * ny**nx if maps else 1
+        cost = _instance_cost(max(nx, ny)) * per_x
+        scan = min(class_size(nx, "all"), (budget - spent) // cost)
+        if not scan:
+            # a later, smaller size pair may still fit; build nothing here
+            continue
+        if maps:
+            ty = all_tables_block(ny, 0, class_size(ny, "all"))
+            evaluate = _map_block(nx, ny, ty, (neg,), 1)
+        else:
+            evaluate = partial(_space_block, nx, _space_witness, (neg,), 1)
+        witness = _first_witness(nx, scan, max(1, _CHUNK // per_x), evaluate)
+        if witness is not None:
+            witness["claim"] = neg.id
+            return witness
+        spent += scan * cost
+    return None

@@ -157,7 +157,6 @@ def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
-        "space",
         (claims.SpaceImplication("all", (), ("grounded",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
@@ -170,6 +169,37 @@ def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
     assert solo.summary() == "claim=bogus-all-grounded n=2 checked=256 violations=192 exhaustive=true"
     assert solo.violations == trio.violations
     assert len(solo.violations) == claims.VIOLATION_CAP
+
+
+def test_worker_count_is_clamped_to_the_cores(monkeypatch):
+    # the executor starts a thread per job while none is idle, so 100,000
+    # workers would start one per chunk; the fake pool starts none
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(claims, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(claims, "_CHUNK", 16)
+    solo = cs.verify_claim("cor-r0", 2, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    many = cs.verify_claim("cor-r0", 2, workers=100_000)
+    assert pools == [3]
+    assert many.summary() == solo.summary()
+    # a core count the platform cannot tell runs the jobs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert claims._run_ordered([1, 2, 3], lambda j: j * j, 100_000) == [1, 4, 9]
+    assert pools == [3]
 
 
 def test_all_tables_sweep_at_n3_peak_rss_stays_under_200_mb():
@@ -211,7 +241,6 @@ def test_violations_are_reported_for_a_false_claim(monkeypatch):
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
-        "space",
         (claims.SpaceImplication("all", (), ("grounded",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
@@ -229,7 +258,6 @@ def test_false_map_claim_reports_violations(monkeypatch):
     bogus = claims.Claim(
         "bogus-all-cont",
         "every map is continuous (false)",
-        "map",
         (claims.MapImplication("all", "all", (), ("continuous",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
@@ -247,7 +275,6 @@ def test_lifted_space_predicates_in_map_hypotheses(monkeypatch):
     lifted = claims.Claim(
         "lifted-cp-cont",
         "closure-preserving with isotonic codomain is continuous",
-        "map",
         (
             claims.MapImplication(
                 "all", "all", ("closure_preserving", "codomain_isotonic"), ("continuous",)
@@ -344,7 +371,6 @@ def test_witness_list_does_not_depend_on_chunk_size(monkeypatch):
     space = claims.Claim(
         "bogus-grounded-enlarging",
         "every space is grounded, and enlarging ones are isotonic (false)",
-        "space",
         (
             claims.SpaceImplication("all", (), ("grounded",)),
             claims.SpaceImplication("all", ("enlarging",), ("isotonic",)),
@@ -353,7 +379,6 @@ def test_witness_list_does_not_depend_on_chunk_size(monkeypatch):
     maps = claims.Claim(
         "bogus-all-cont",
         "every map is continuous (false)",
-        "map",
         (claims.MapImplication("all", "all", (), ("continuous",)),),
     )
     for bogus in (space, maps):
@@ -426,22 +451,18 @@ def _counted(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize(
-    "kind,implication,document",
+    "implication,document",
     [
-        ("space", claims.SpaceImplication("all", (), ("grounded",)), "space_document"),
-        ("map", claims.MapImplication("all", "all", (), ("continuous",)), "map_document"),
-        (
-            "relation",
-            claims.SpaceImplication("relations", (), ("rebuilt_same_pairs",)),
-            "relation_document",
-        ),
+        (claims.SpaceImplication("all", (), ("grounded",)), "space_document"),
+        (claims.MapImplication("all", "all", (), ("continuous",)), "map_document"),
+        (claims.SpaceImplication("relations", (), ("rebuilt_same_pairs",)), "relation_document"),
     ],
     ids=["space", "map", "relation"],
 )
-def test_sweep_formats_only_the_witnesses_it_keeps(monkeypatch, kind, implication, document):
+def test_sweep_formats_only_the_witnesses_it_keeps(monkeypatch, implication, document):
     # 16-row chunks: every job finds violations, but only the first
     # VIOLATION_CAP of the whole sweep become documents
-    bogus = claims.Claim("bogus", "a false claim", kind, (implication,))
+    bogus = claims.Claim("bogus", "a false claim", (implication,))
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     default = cs.verify_claim(bogus.id, 2)
     assert default.total_violations > claims.VIOLATION_CAP

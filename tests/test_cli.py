@@ -97,7 +97,6 @@ def test_verify_violations_exit_1_and_print(monkeypatch, capsys):
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
-        "space",
         (claims.SpaceImplication("all", (), ("grounded",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
@@ -126,7 +125,6 @@ def test_sampled_map_violations_at_n3_match_the_golden(monkeypatch, capsys):
         "bogus-iso-pws-cont",
         "every map from an isotonic space to an isotonic pointwise-symmetric "
         "space is continuous (false)",
-        "map",
         (claims.MapImplication("isotonic", "isotonic_pointwise_symmetric", (), ("continuous",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)

@@ -38,6 +38,7 @@ def _universe(n):
 # the classes whose n = 4 samples the sweeps feed to each kernel
 _N4_CLASSES = {
     "criteria_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
+    "formula_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
     "roundtrip_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
     "symmetry_flags": ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated"),
 }
@@ -98,11 +99,11 @@ SPACE_ORACLES = {
     [(n, name) for n in (1, 2, 3) for name in sorted(SPACE_ORACLES)]
     # separation rows use bits up to 15 at n = 4; the symmetry kernel
     # narrows tables to uint8 words
-    + [(4, "criteria_flags"), (4, "roundtrip_flags"), (4, "symmetry_flags")],
+    + [(4, "criteria_flags"), (4, "formula_flags"), (4, "roundtrip_flags"), (4, "symmetry_flags")],
 )
 def test_space_kernel_matches_oracle(n, name):
     tables = _near(n, _N4_CLASSES[name], 20) if n == 4 else _universe(n)
-    if n == 4 and name in ("criteria_flags", "roundtrip_flags"):
+    if n == 4 and name in ("criteria_flags", "formula_flags", "roundtrip_flags"):
         # the rows these kernels build assume no axiom of the table
         tables = np.concatenate([tables, enumeration.sample_tables(4, "all", 40, seed=5)])
     got = _kernels.kernel(name)(tables, n).reshape(tables.shape[0], -1)
@@ -138,7 +139,7 @@ def test_separation_rows_match_oracle(n):
 def test_space_kernel_takes_an_empty_batch(name):
     for n in (1, 3):
         out = _kernels.kernel(name)(np.zeros((0, 1 << n), np.int64), n)
-        assert out.shape[0] == 0 and out.dtype == np.uint8
+        assert out.shape[0] == 0 and out.dtype == bool
 
 
 def test_separation_rows_refuse_more_than_64_bits():
