@@ -1,10 +1,14 @@
 """Claim catalog plus the verification sweep and counterexample hunt.
 
-Each claim is data: a universe (generator classes) and one or more
-implications between named predicates.  The harness evaluates every
-predicate definitionally through the batch kernels (or the plain library
-functions for the slow audit predicates), so no claim is checked by the
-implication it states.
+Each claim is data: a tuple of implications between named predicates, each
+over a universe (a generator class, the relations, or the maps from one
+class to another).  An iff is two implications, one each way, so an
+instance on which its two sides differ violates exactly one of them.  A
+negative claim is one implication over class 'all' that the catalog does
+not assert; a hunt searches for a witness against it.  The harness
+evaluates every predicate definitionally through the batch kernels (or the
+plain library functions for the slow audit predicate), so no claim is
+checked by the implication it states.
 
 One evaluator, :func:`_violations`, serves the claims over spaces, maps
 and relations, and the hunts: on a block of instances it counts the
@@ -12,8 +16,8 @@ and relations, and the hunts: on a block of instances it counts the
 do not all hold, and names the instances of the first k in sweep order
 (instance by instance, implications in catalog order).  Predicate columns
 are bool, as the kernels return them.  A verify sweep runs through
-:func:`_sweep`.  A hunt reads its negative claim as the implication it
-denies and runs one loop over size steps: n for a space claim, and (nx, ny)
+:func:`_sweep`.  A hunt evaluates its negative claim's implication and
+runs one loop over size steps: n for a space claim, and (nx, ny)
 ordered by nx + ny, then nx, for a map claim.  Each step evaluates, with
 k = 1, the lexicographic prefix of the domain tables at nx that the rest of
 the budget affords, and a step that affords none is skipped before its
@@ -28,8 +32,9 @@ compare subset triples (:func:`_instance_cost`, which the hunts read too).
 For each group of implications over one universe, :func:`_plan` alone reads
 the budget and decides, from the universe's size and before any table is
 loaded, what the sweep covers: the whole universe when it streams (n <= 3
-for a class, n <= 2 for the relations) and fits the budget, and a seeded
-sample otherwise, which the report flags with exhaustive=false.
+for a class, n <= 2 for the relations and for maps with class 'all' on
+either side) and fits the budget, and a seeded sample otherwise, which the
+report flags with exhaustive=false.
 
 Chunks of the universe are then independent jobs on a thread pool of at
 most one thread per core, merged in chunk order; a report keeps the first
@@ -128,18 +133,6 @@ class Claim:
     implications: tuple
 
 
-@dataclass(frozen=True)
-class NegativeClaim:
-    """A converse the positive catalog does not assert; hunts search for a
-    witness satisfying the hypothesis but not the conclusion."""
-
-    id: str
-    description: str
-    kind: str  # "space" | "map"
-    hypothesis: tuple[str, ...]
-    conclusion: tuple[str, ...]
-
-
 @dataclass
 class VerificationReport:
     claim_id: str
@@ -218,17 +211,26 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-crit-grounded",
             "the relation-level groundedness criterion matches the axiom on exterior-separated spaces",
-            (SpaceImplication("exterior_separated", (), ("grounded_matches_criterion",)),),
+            (
+                SpaceImplication("exterior_separated", ("grounded",), ("grounded_crit",)),
+                SpaceImplication("exterior_separated", ("grounded_crit",), ("grounded",)),
+            ),
         ),
         Claim(
             "thm-crit-enlarging",
             "the disjoint-pairs criterion matches the enlarging axiom on exterior-separated spaces",
-            (SpaceImplication("exterior_separated", (), ("enlarging_matches_criterion",)),),
+            (
+                SpaceImplication("exterior_separated", ("enlarging",), ("enlarging_crit",)),
+                SpaceImplication("exterior_separated", ("enlarging_crit",), ("enlarging",)),
+            ),
         ),
         Claim(
             "thm-crit-sublinear",
             "the union-closure criterion matches the sub-linear axiom on exterior-separated spaces",
-            (SpaceImplication("exterior_separated", (), ("sublinear_matches_criterion",)),),
+            (
+                SpaceImplication("exterior_separated", ("sublinear",), ("sublinear_crit",)),
+                SpaceImplication("exterior_separated", ("sublinear_crit",), ("sublinear",)),
+            ),
         ),
         Claim(
             "thm-idem-sufficient",
@@ -315,50 +317,38 @@ CATALOG: dict[str, Claim] = {
     ]
 }
 
-NEGATIVE_CATALOG: dict[str, NegativeClaim] = {
+NEGATIVE_CATALOG: dict[str, Claim] = {
     c.id: c
     for c in [
-        NegativeClaim(
+        Claim(
             "neg-pws-not-extsep",
             "pointwise-symmetric does not imply exterior-separated in general",
-            "space",
-            ("pointwise_symmetric",),
-            ("exterior_separated",),
+            (SpaceImplication("all", ("pointwise_symmetric",), ("exterior_separated",)),),
         ),
-        NegativeClaim(
+        Claim(
             "neg-r0-not-extsep",
             "r0 does not imply exterior-separated in general",
-            "space",
-            ("r0",),
-            ("exterior_separated",),
+            (SpaceImplication("all", ("r0",), ("exterior_separated",)),),
         ),
-        NegativeClaim(
+        Claim(
             "neg-cont-not-cp",
             "continuity does not imply closure preservation in general",
-            "map",
-            ("continuous",),
-            ("closure_preserving",),
+            (MapImplication("all", "all", ("continuous",), ("closure_preserving",)),),
         ),
-        NegativeClaim(
+        Claim(
             "neg-cp-not-cont",
             "closure preservation does not imply continuity in general",
-            "map",
-            ("closure_preserving",),
-            ("continuous",),
+            (MapImplication("all", "all", ("closure_preserving",), ("continuous",)),),
         ),
-        NegativeClaim(
+        Claim(
             "neg-ns-not-cp",
             "nonseparating does not imply closure-preserving in general",
-            "map",
-            ("nonseparating",),
-            ("closure_preserving",),
+            (MapImplication("all", "all", ("nonseparating",), ("closure_preserving",)),),
         ),
-        NegativeClaim(
+        Claim(
             "neg-ns-not-cont",
             "nonseparating does not imply continuity in general",
-            "map",
-            ("nonseparating",),
-            ("continuous",),
+            (MapImplication("all", "all", ("nonseparating",), ("continuous",)),),
         ),
     ]
 }
@@ -393,60 +383,22 @@ _FLAG_COLUMNS = {
     for kernel_name, names in _KERNEL_FLAGS.items()
     for column, name in enumerate(names)
 }
-_MATCH_PAIRS = {
-    "grounded_matches_criterion": ("grounded", "grounded_crit"),
-    "enlarging_matches_criterion": ("enlarging", "enlarging_crit"),
-    "sublinear_matches_criterion": ("sublinear", "sublinear_crit"),
-}
 MAP_PREDICATES = {name: column for column, name in enumerate(_names(MapProfile))}
 
 
-class _SpaceColumns:
-    """Lazy per-chunk evaluation of named predicates over a block of rows:
-    closure tables, or separation rows for the relation predicates."""
-
-    def __init__(self, tables: np.ndarray, n: int):
-        self.tables = tables
-        self.n = n
-        self._cache: dict[str, np.ndarray] = {}
-        self._flags_by_kernel: dict[str, np.ndarray] = {}
-
-    def _flags(self, kernel_name: str) -> np.ndarray:
-        """One kernel's flags for the chunk, a column per flag, run once."""
-        if kernel_name not in self._flags_by_kernel:
-            flags = _kernels.kernel(kernel_name)(self.tables, self.n)
-            self._flags_by_kernel[kernel_name] = flags.reshape(self.tables.shape[0], -1)
-        return self._flags_by_kernel[kernel_name]
-
-    def get(self, name: str) -> np.ndarray:
-        if name in self._cache:
-            return self._cache[name]
-        if name in _FLAG_COLUMNS:
-            kernel_name, column = _FLAG_COLUMNS[name]
-            col = self._flags(kernel_name)[:, column]
-        elif name in _MATCH_PAIRS:
-            ax_name, crit_name = _MATCH_PAIRS[name]
-            col = self.get(ax_name) == self.get(crit_name)
-        elif name == "profile_consistent":
-            col = self._profile_consistent()
-        else:
-            raise UnknownClaim(f"unknown space predicate: {name!r}")
-        self._cache[name] = col
-        return col
-
-    def _profile_consistent(self) -> np.ndarray:
-        # fast isotonicity against the all-pairs sweep, and the kernel flags
-        # against the plain per-space library evaluation
-        ax = self._flags("axiom_flags")
-        ok = ax[:, 1] == self._flags("isotonic_all_pairs")[:, 0]
-        ax_rows = ax.tolist()
-        sym_rows = self._flags("symmetry_flags").tolist()
-        g = ground(self.n)
-        for i, row in enumerate(self.tables.tolist()):
-            sp = Space(g, tuple(row))
-            same = axiom_profile(sp) == AxiomProfile(*ax_rows[i])
-            ok[i] &= same and symmetry_profile(sp) == SymmetryProfile(*sym_rows[i])
-        return ok
+def _profile_consistent(tables: np.ndarray, n: int) -> np.ndarray:
+    """Fast isotonicity against the all-pairs sweep, and the axiom and
+    symmetry kernels against the plain per-space library evaluation."""
+    ax = _kernels.kernel("axiom_flags")(tables, n)
+    ok = ax[:, 1] == _kernels.kernel("isotonic_all_pairs")(tables, n)
+    ax_rows = ax.tolist()
+    sym_rows = _kernels.kernel("symmetry_flags")(tables, n).tolist()
+    g = ground(n)
+    for i, row in enumerate(tables.tolist()):
+        sp = Space(g, tuple(row))
+        same = axiom_profile(sp) == AxiomProfile(*ax_rows[i])
+        ok[i] &= same and symmetry_profile(sp) == SymmetryProfile(*sym_rows[i])
+    return ok
 
 
 def _space_witness(n: int, row: np.ndarray) -> dict:
@@ -496,7 +448,20 @@ def _space_block(n: int, witness: Callable, implications, k: int, tables: np.nda
     rows for the relation predicates.  Returns the violation count, a copy
     of the rows of the first k, and ``witness`` bound to n, which formats
     one of those rows as a document."""
-    total, (i,) = _violations(tables.shape[:1], _SpaceColumns(tables, n).get, implications, k)
+    flags: dict[str, np.ndarray] = {}  # each kernel runs once per block
+
+    def get(name: str) -> np.ndarray:
+        if name == "profile_consistent":
+            return _profile_consistent(tables, n)
+        if name not in _FLAG_COLUMNS:
+            raise UnknownClaim(f"unknown space predicate: {name!r}")
+        kernel_name, column = _FLAG_COLUMNS[name]
+        if kernel_name not in flags:
+            out = _kernels.kernel(kernel_name)(tables, n)
+            flags[kernel_name] = out.reshape(tables.shape[0], -1)
+        return flags[kernel_name][:, column]
+
+    total, (i,) = _violations(tables.shape[:1], get, implications, k)
     return total, tables[i], partial(witness, n)
 
 
@@ -506,9 +471,7 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
 
     The instances are ordered by domain table, codomain table, then
     assignment (lexicographic).  The bound words of ``ty`` are built once,
-    here, and every domain block is checked against them.  A ``domain_`` or
-    ``codomain_`` name is the space predicate of that side, lifted onto its
-    maps.
+    here, and every domain block is checked against them.
     """
     fmaps = all_assignments(nx, ny)
     # the builder's temporaries hold 2**max(nx, ny) int64 entries per word,
@@ -516,20 +479,14 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
     loaders = slice_loaders(ty, max(1, _CHUNK // fmaps.shape[0]))
     bounds = np.concatenate([_kernels.build_map_tables(load(), fmaps, nx, ny) for load in loaders])
     map_flags = _kernels.kernel("map_flags")
-    y_cols = _SpaceColumns(ty, ny)
 
     def evaluate(tx: np.ndarray) -> tuple[int, np.ndarray, Callable[[np.ndarray], dict]]:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
-        x_cols = _SpaceColumns(tx, nx)
 
         def get(name: str) -> np.ndarray:
-            if name in MAP_PREDICATES:
-                return out[..., MAP_PREDICATES[name]]
-            if name.startswith("domain_"):
-                return x_cols.get(name.removeprefix("domain_"))[:, None, None]
-            if name.startswith("codomain_"):
-                return y_cols.get(name.removeprefix("codomain_"))[None, :, None]
-            raise UnknownClaim(f"unknown map predicate: {name!r}")
+            if name not in MAP_PREDICATES:
+                raise UnknownClaim(f"unknown map predicate: {name!r}")
+            return out[..., MAP_PREDICATES[name]]
 
         total, (i, j, f) = _violations(out.shape[:3], get, implications, k)
         rows = np.concatenate([tx[i], ty[j], fmaps[f]], axis=1)
@@ -611,7 +568,9 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
     budget at :func:`_instance_cost` per instance; otherwise a seeded sample
     is, of at most SAMPLE_CAP rows, or MAP_SAMPLE_CAP tables per map side.
     A map sweep holds its codomain, and the codomain's bound words, in
-    memory, so a codomain of class 'all' is swept whole only up to n = 2.
+    memory, and plans one chunk loader per domain table once a domain table
+    stands for more than _CHUNK maps, so maps with class 'all' on either
+    side are swept whole only up to n = 2.
     Group ``gi`` samples with seed + gi, or seed + 101 gi + 2 and + 3 for
     the two map sides.  No other part of a verify sweep reads the budget.
     """
@@ -626,7 +585,7 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
         fcount = n**n
         exhaustive = (
             n <= _STREAM_MAX_N
-            and (cls_y != "all" or n <= 2)
+            and ("all" not in universe or n <= 2)
             and class_size(n, cls_x) * class_size(n, cls_y) * fcount <= affordable
         )
         if exhaustive:
@@ -713,21 +672,30 @@ def hunt_counterexample(
     seed: int = 0,
 ) -> dict | None:
     """Search exhaustively, smallest carriers first, for a witness violating
-    the converse named by ``claim_id``: its hypothesis holds and its
-    conclusions do not all hold.  Returns None if the budget runs out.
+    the negative claim ``claim_id``: an instance of class 'all' (a space,
+    or a map between two such spaces) whose hypothesis holds and whose
+    conclusions do not all hold.  Every negative claim is one implication
+    over class 'all', the universe the hunt scans.  Returns None if the
+    budget runs out.
 
     The witness is minimal for the documented order: carrier sizes ascending
     (for maps, by nx+ny then nx), then lexicographic domain table, codomain
     table, and assignment.  ``seed`` is accepted for interface symmetry with
     verify_claim; the scan itself is deterministic.  Raises
     InvalidSweepArgument when n_max is below 1 or budget below 0.
+
+    A map step holds every codomain table of its size pair and their bound
+    words: at ny = 3 that is 1 GB of tables, and at (3, 3) 7.2 GB of words.
+    The first ny = 3 step, (1, 3), is affordable once the budget exceeds
+    about 3.2e9.  Unlike the verify plan, the hunt cannot sample such a
+    step instead, since skipping it would break the minimal-witness order.
     """
     if claim_id not in NEGATIVE_CATALOG:
         raise UnknownClaim(f"unknown negative claim id: {claim_id!r}")
     _require_at_least(1, n_max=n_max)
     _require_at_least(0, budget=budget)
-    neg = NEGATIVE_CATALOG[claim_id]
-    maps = neg.kind == "map"
+    claim = NEGATIVE_CATALOG[claim_id]
+    maps = isinstance(claim.implications[0], MapImplication)
     sizes = range(1, n_max + 1)
     if maps:
         steps = sorted(((nx, ny) for nx in sizes for ny in sizes), key=lambda p: (sum(p), p[0]))
@@ -745,12 +713,12 @@ def hunt_counterexample(
             continue
         if maps:
             ty = all_tables_block(ny, 0, class_size(ny, "all"))
-            evaluate = _map_block(nx, ny, ty, (neg,), 1)
+            evaluate = _map_block(nx, ny, ty, claim.implications, 1)
         else:
-            evaluate = partial(_space_block, nx, _space_witness, (neg,), 1)
+            evaluate = partial(_space_block, nx, _space_witness, claim.implications, 1)
         witness = _first_witness(nx, scan, max(1, _CHUNK // per_x), evaluate)
         if witness is not None:
-            witness["claim"] = neg.id
+            witness["claim"] = claim.id
             return witness
         spent += scan * cost
     return None

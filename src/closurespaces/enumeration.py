@@ -1,4 +1,4 @@
-"""Exhaustive and sampled table generators for the five classes at desk scale.
+"""Exhaustive and sampled table generators for the four classes at desk scale.
 
 Exhaustive streams are deterministic and lexicographic over table entries
 (entry for subset 0 most significant).  No class is found by filtering a
@@ -11,8 +11,6 @@ draws):
 * isotonic tables factor into one upward-closed family of subsets (up-set)
   per output bit.  :func:`_isotonic_rows` builds tables from one up-set pick
   per bit.
-* enlarging isotonic tables are the picks, for bit x, among the up-sets
-  that contain {x}.
 * isotonic pointwise-symmetric tables are the picks whose singleton
   signature M[x][y] = [{y} in U_x] is a symmetric matrix.
   :func:`_pws_rows` numbers them: matrix by matrix, M owning as many numbers
@@ -23,7 +21,7 @@ draws):
   and :func:`_forced` gives the forced masks; the stream adds every
   combination of extra bits, the sampler one uniform draw per entry.
 
-The isotonic and enlarging samplers draw one pick per output bit.  The
+The isotonic sampler draws one pick per output bit.  The
 pointwise-symmetric sampler draws uniform table numbers, so it draws M with
 weight the number of its tables and then one uniform up-set per bit.  It
 replaced a rejection loop over isotonic samples: the distribution, uniform
@@ -38,7 +36,6 @@ test suite.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
@@ -51,7 +48,6 @@ CLASSES = (
     "isotonic",
     "isotonic_pointwise_symmetric",
     "exterior_separated",
-    "enlarging_isotonic",
 )
 
 SAMPLE_MAX_N = 4
@@ -105,20 +101,13 @@ def upset_families(n: int) -> tuple[int, ...]:
 
 def _isotonic_rows(fams, picks: np.ndarray, n: int) -> np.ndarray:
     """One table per row of ``picks``: bit j of entry A is set iff A belongs
-    to the up-set ``fams[j][picks[:, j]]``."""
+    to the up-set ``fams[picks[:, j]]``."""
     subsets = np.arange(1 << n)
+    chosen = np.asarray(fams, np.int64)[picks]
     rows = np.zeros((picks.shape[0], 1 << n), np.int64)
     for j in range(n):
-        chosen = np.asarray(fams[j], np.int64)[picks[:, j]]
-        rows |= ((chosen[:, None] >> subsets) & 1) << j
+        rows |= ((chosen[:, j, None] >> subsets) & 1) << j
     return rows
-
-
-def _every_table(fams, n: int) -> np.ndarray:
-    """The tables of every pick of one up-set ``fams[j]`` per bit j,
-    lexicographic."""
-    picks = np.indices([len(f) for f in fams]).reshape(n, -1).T
-    return _lexicographic(_isotonic_rows(fams, picks, n))
 
 
 def _lexicographic(rows: np.ndarray) -> np.ndarray:
@@ -131,14 +120,9 @@ def _lexicographic(rows: np.ndarray) -> np.ndarray:
 def isotonic_tables(n: int) -> np.ndarray:
     """All isotonic tables on n elements, lexicographic, as an int64 array."""
     _check_stream(n, "isotonic")
-    return _every_table((upset_families(n),) * n, n)
-
-
-def _enlarging_families(n: int) -> list[tuple[int, ...]]:
-    """For each bit x, the up-sets that contain {x}, hence every subset with
-    x; they are in the order of the up-sets of the n - 1 other elements they
-    restrict to."""
-    return [tuple(f for f in upset_families(n) if (f >> (1 << x)) & 1) for x in range(n)]
+    fams = upset_families(n)
+    picks = np.indices((len(fams),) * n).reshape(n, -1).T
+    return _lexicographic(_isotonic_rows(fams, picks, n))
 
 
 def _matrix_count(n: int) -> int:
@@ -196,7 +180,7 @@ def _pws_rows(index: np.ndarray, n: int) -> np.ndarray:
         radix = counts[sig[:, x]]
         picks[:, x] = starts[sig[:, x]] + rest % radix
         rest = rest // radix
-    return _isotonic_rows((fams,) * n, picks, n)
+    return _isotonic_rows(fams, picks, n)
 
 
 def _forced(rows: np.ndarray, n: int) -> np.ndarray:
@@ -262,12 +246,9 @@ def extsep_tables(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _subclass_tables(n: int, cls: str) -> np.ndarray:
-    """All enlarging or all pointwise-symmetric isotonic tables,
-    lexicographic."""
-    if cls == "enlarging_isotonic":
-        return _every_table(_enlarging_families(n), n)
-    return _lexicographic(_pws_rows(np.arange(class_size(n, cls)), n))
+def _pws_tables(n: int) -> np.ndarray:
+    """All isotonic pointwise-symmetric tables, lexicographic."""
+    return _lexicographic(_pws_rows(np.arange(class_size(n, "isotonic_pointwise_symmetric")), n))
 
 
 def class_size(n: int, cls: str) -> int:
@@ -278,8 +259,6 @@ def class_size(n: int, cls: str) -> int:
         return size**size
     if cls == "isotonic":
         return len(upset_families(n)) ** n
-    if cls == "enlarging_isotonic":
-        return math.prod(len(f) for f in _enlarging_families(n))
     if cls == "isotonic_pointwise_symmetric":
         *_, weights = _pws_parts(n)
         return int(weights.sum())
@@ -333,7 +312,7 @@ def chunk_loaders(
     elif cls == "exterior_separated":
         tables = extsep_tables(n)
     else:
-        tables = _subclass_tables(n, cls)
+        tables = _pws_tables(n)
     return slice_loaders(tables, chunk_size)
 
 
@@ -364,11 +343,6 @@ def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
     if cls == "isotonic":
         fams = upset_families(n)
         picks = rng.integers(0, len(fams), size=(count, n))
-        return _isotonic_rows((fams,) * n, picks, n)
-
-    if cls == "enlarging_isotonic":
-        fams = _enlarging_families(n)
-        picks = rng.integers(0, len(fams[0]), size=(count, n))
         return _isotonic_rows(fams, picks, n)
 
     if cls == "isotonic_pointwise_symmetric":

@@ -28,22 +28,9 @@ def from_space(space):
     return frozenset(labels), cl
 
 
-def from_table(n, table):
-    """(universe, closure dict) view of a bare table, elements 0..n-1."""
-
-    def to_set(mask):
-        return frozenset(i for i in range(n) if (mask >> i) & 1)
-
-    return frozenset(range(n)), {to_set(m): to_set(v) for m, v in enumerate(table)}
-
-
 def mask_to_set(space, mask):
     labels = space.ground.labels
     return frozenset(labels[i] for i in range(len(labels)) if (mask >> i) & 1)
-
-
-def set_to_mask(space, subset):
-    return sum(1 << i for i, label in enumerate(space.ground.labels) if label in subset)
 
 
 def interior(universe, cl, a):
@@ -278,26 +265,6 @@ def isotonic_sample(n, count, seed):
         [sum(1 << j for j in range(n) if (fams[p[j]] >> a) & 1) for a in range(1 << n)]
         for p in picks
     ]
-
-
-def enlarging_isotonic_sample(n, count, seed):
-    """Bit x of entry A is set iff x is in A, or A lies in the up-set picked
-    for x among the subsets without x; the k-th of those, ascending, is
-    subset k of the other n - 1 elements."""
-    fams = upset_families(n - 1)
-    picks = np.random.default_rng(seed).integers(0, len(fams), size=(count, n))
-    tables = []
-    for p in picks:
-        table = []
-        for a in range(1 << n):
-            entry = 0
-            for x in range(n):
-                without_x = [b for b in range(1 << n) if not (b >> x) & 1]
-                if (a >> x) & 1 or (fams[p[x]] >> without_x.index(a)) & 1:
-                    entry |= 1 << x
-            table.append(entry)
-        tables.append(table)
-    return tables
 
 
 def isotonic_pointwise_symmetric_sample(n, count, seed):

@@ -16,7 +16,7 @@ import pytest
 
 import closurespaces as cs
 import oracles
-from closurespaces import _kernels, enumeration, formats
+from closurespaces import _kernels, claims, enumeration, formats
 from closurespaces.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -173,14 +173,15 @@ def test_criterion_08_negative_witnesses():
         "continuous": oracles.continuous,
         "nonseparating": oracles.nonseparating,
     }
-    for claim_id, neg in cs.NEGATIVE_CATALOG.items():
+    for claim_id, claim in cs.NEGATIVE_CATALOG.items():
+        (neg,) = claim.implications
         witness = cs.hunt_counterexample(claim_id, n_max=2)
         assert witness is not None, claim_id
         again = cs.hunt_counterexample(claim_id, n_max=2)
         text = json.dumps(witness, indent=2, sort_keys=True) + "\n"
         assert text == json.dumps(again, indent=2, sort_keys=True) + "\n"
         assert text == (GOLDEN_DIR / f"{claim_id}.json").read_text()
-        if neg.kind == "space":
+        if isinstance(neg, claims.SpaceImplication):
             sp = formats.space_from_document(witness["space"])
             universe, cl = oracles.from_space(sp)
             assert all(checks[h](universe, cl) for h in neg.hypothesis)

@@ -142,6 +142,39 @@ def test_map_sweep_onto_all_tables_at_n3_is_sampled_whatever_the_budget():
     )
 
 
+def test_map_sweep_from_all_tables_at_n3_is_sampled_whatever_the_budget(monkeypatch):
+    # the budget covers the 16,777,216 x 8,000 x 27 maps from class 'all' to
+    # the isotonic tables, but a domain table stands for more than _CHUNK
+    # maps, so the plan would list one chunk loader per domain table
+    def loaders(*args, **kwargs):
+        raise AssertionError("asked for a class universe")
+
+    monkeypatch.setattr(claims, "chunk_loaders", loaders)
+    report = cs.verify_claim("thm-cp-cont", 3, budget=3 * 10**14)
+    assert report.summary() == "claim=thm-cp-cont n=3 checked=2160000 violations=0 exhaustive=false"
+
+
+@pytest.mark.parametrize(
+    "claim_id", ["thm-crit-grounded", "thm-crit-enlarging", "thm-crit-sublinear"]
+)
+def test_iff_claims_count_each_mismatching_table_once(monkeypatch, claim_id):
+    # an iff is two implications; a table whose criterion is flipped
+    # violates exactly one of them
+    from closurespaces import _kernels
+
+    real = _kernels.kernel("criteria_flags")
+    _, column = claims._FLAG_COLUMNS[claim_id.removeprefix("thm-crit-") + "_crit"]
+
+    def flipped(tables, n):
+        flags = real(tables, n).copy()
+        flags[::2, column] ^= True
+        return flags
+
+    monkeypatch.setitem(_kernels._KERNELS, "criteria_flags", flipped)
+    report = cs.verify_claim(claim_id, 2)
+    assert report.summary() == f"claim={claim_id} n=2 checked=52 violations=26 exhaustive=true"
+
+
 def test_worker_count_does_not_change_reports():
     for claim_id in ("cor-r0", "thm-cp-implies-ns", "thm-reconstruct"):
         solo = cs.verify_claim(claim_id, 2, workers=1)
@@ -269,27 +302,6 @@ def test_false_map_claim_reports_violations(monkeypatch):
         assert not cs.is_continuous(mp)
 
 
-def test_lifted_space_predicates_in_map_hypotheses(monkeypatch):
-    # the per-instance form of the two-way implication, with the space-level
-    # hypotheses lifted instead of encoded as universe classes
-    lifted = claims.Claim(
-        "lifted-cp-cont",
-        "closure-preserving with isotonic codomain is continuous",
-        (
-            claims.MapImplication(
-                "all", "all", ("closure_preserving", "codomain_isotonic"), ("continuous",)
-            ),
-            claims.MapImplication(
-                "all", "all", ("continuous", "domain_isotonic"), ("closure_preserving",)
-            ),
-        ),
-    )
-    monkeypatch.setitem(claims.CATALOG, lifted.id, lifted)
-    report = cs.verify_claim("lifted-cp-cont", 2)
-    assert report.instances_checked == 256 * 256 * 4  # one sweep serves both directions
-    assert report.total_violations == 0 and report.exhaustive
-
-
 HUNT_IDS = [
     "neg-pws-not-extsep",
     "neg-r0-not-extsep",
@@ -316,7 +328,7 @@ _MAP_CHECKS = {
 def test_hunts_find_witnesses_that_revalidate(claim_id):
     witness = cs.hunt_counterexample(claim_id, n_max=2)
     assert witness is not None
-    neg = cs.NEGATIVE_CATALOG[claim_id]
+    (neg,) = cs.NEGATIVE_CATALOG[claim_id].implications
     if witness["kind"] == "space":
         sp = formats.space_from_document(witness["space"])
         universe, cl = oracles.from_space(sp)
@@ -418,8 +430,10 @@ def test_map_sweep_decides_before_loading_a_universe(monkeypatch):
 def test_hunt_reads_several_conclusions_as_their_conjunction(monkeypatch):
     # table (0, 0) is grounded but not enlarging: hypothesis true, the
     # conjunction of the conclusions false
-    neg = claims.NegativeClaim(
-        "neg-x", "grounded and enlarging (false)", "space", (), ("grounded", "enlarging")
+    neg = claims.Claim(
+        "neg-x",
+        "grounded and enlarging (false)",
+        (claims.SpaceImplication("all", (), ("grounded", "enlarging")),),
     )
     monkeypatch.setitem(claims.NEGATIVE_CATALOG, neg.id, neg)
     witness = cs.hunt_counterexample(neg.id, n_max=1)

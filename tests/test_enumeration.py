@@ -97,9 +97,6 @@ def test_filtered_classes_are_exact():
     for sp in _spaces(_stream(2, "isotonic_pointwise_symmetric"), 2):
         assert cs.axiom_profile(sp).isotonic
         assert cs.symmetry_profile(sp).pointwise_symmetric
-    for sp in _spaces(_stream(2, "enlarging_isotonic"), 2):
-        prof = cs.axiom_profile(sp)
-        assert prof.isotonic and prof.enlarging
 
 
 def test_stream_determinism():
@@ -158,9 +155,6 @@ def test_sample_spaces_class_membership_n4():
     for sp in _samples(4, "isotonic_pointwise_symmetric", 10, seed=7):
         assert cs.axiom_profile(sp).isotonic
         assert cs.symmetry_profile(sp).pointwise_symmetric
-    for sp in _samples(4, "enlarging_isotonic", 40, seed=7):
-        prof = cs.axiom_profile(sp)
-        assert prof.isotonic and prof.enlarging
     with pytest.raises(cs.UniverseTooLarge):
         enumeration.sample_tables(5, "all", 1, seed=0)
 
@@ -177,7 +171,6 @@ _ORACLE_MEMBERSHIP = {
     "isotonic": (oracles.isotonic,),
     "isotonic_pointwise_symmetric": (oracles.isotonic, oracles.pointwise_symmetric),
     "exterior_separated": (oracles.exterior_separated,),
-    "enlarging_isotonic": (oracles.isotonic, oracles.enlarging),
 }
 
 
@@ -193,7 +186,6 @@ def test_sampled_tables_pass_the_oracle_predicates(cls, n):
 _LITERAL_SAMPLES = {
     "isotonic": oracles.isotonic_sample,
     "isotonic_pointwise_symmetric": oracles.isotonic_pointwise_symmetric_sample,
-    "enlarging_isotonic": oracles.enlarging_isotonic_sample,
 }
 
 
@@ -237,7 +229,6 @@ def test_class_size_is_exact_for_every_class(cls):
         "all": 16**16,
         "isotonic": 168**4,
         "isotonic_pointwise_symmetric": 240_496_704,
-        "enlarging_isotonic": 160_000,
         "exterior_separated": 290_507_588_066_992,
     }
     assert size == expected[cls]
@@ -248,7 +239,7 @@ def test_class_size_counts_the_one_empty_table_at_n0(cls):
     assert cs.class_size(0, cls) == 1
 
 
-@pytest.mark.parametrize("cls", ["isotonic", "isotonic_pointwise_symmetric", "enlarging_isotonic"])
+@pytest.mark.parametrize("cls", ["isotonic", "isotonic_pointwise_symmetric"])
 def test_class_size_refuses_n5_before_building_the_up_sets(cls):
     # filtering the 2**32 up-set candidates at n = 5 would take a 32 GiB array
     with pytest.raises(cs.UniverseTooLarge):
