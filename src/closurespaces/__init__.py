@@ -18,7 +18,6 @@ from .core import (
     SymmetryProfile,
     are_separated,
     axiom_profile,
-    axiom_profile_by_definition,
     closure,
     exterior,
     ground,
@@ -92,7 +91,6 @@ __all__ = [
     "VerificationReport",
     "are_separated",
     "axiom_profile",
-    "axiom_profile_by_definition",
     "check_relation_conditions",
     "class_size",
     "closure",

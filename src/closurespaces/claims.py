@@ -1,14 +1,15 @@
 """Claim catalog plus the verification sweep and counterexample hunt.
 
-Each claim is data: a tuple of implications between named predicates, each
-over a universe (a generator class, the relations, or the maps from one
-class to another).  An iff is two implications, one each way, so an
-instance on which its two sides differ violates exactly one of them.  A
-negative claim is one implication over class 'all' that the catalog does
-not assert; a hunt searches for a witness against it.  The harness
-evaluates every predicate definitionally through the batch kernels (or the
-plain library functions for the slow audit predicate), so no claim is
-checked by the implication it states.
+Each claim is data: a tuple of :class:`Implication` between named
+predicates, each over a universe: a generator class, the relations, or a
+(domain class, codomain class) pair for the maps from one class to
+another.  An iff is two implications, one each way, so an instance on which
+its two sides differ violates exactly one of them.  A negative claim is one
+implication over class 'all' that the catalog does not assert; a hunt
+searches for a witness against it.  The harness evaluates every predicate
+definitionally through the batch kernels (or the plain library functions
+for the slow audit predicate), so no claim is checked by the implication it
+states.
 
 One evaluator, :func:`_violations`, serves the claims over spaces, maps
 and relations, and the hunts: on a block of instances it counts the
@@ -18,10 +19,10 @@ do not all hold, and names the instances of the first k in sweep order
 are bool, as the kernels return them.  A verify sweep runs through
 :func:`_sweep`.  A hunt evaluates its negative claim's implication and
 runs one loop over size steps: n for a space claim, and (nx, ny)
-ordered by nx + ny, then nx, for a map claim.  Each step evaluates, with
-k = 1, the lexicographic prefix of the domain tables at nx that the rest of
-the budget affords, and a step that affords none is skipped before its
-codomain is built.
+ordered by nx + ny, then nx, for a map claim, whose universe is a pair.
+Each step evaluates, with k = 1, the lexicographic prefix of the domain
+tables at nx that the rest of the budget affords, and a step that affords
+none is skipped before its codomain is built.
 
 A relation claim is a space claim over the universe 'relations', whose rows
 are separation rows (``_kernels``' relation format) rather than tables.
@@ -108,29 +109,21 @@ def _require_at_least(low: int, **values: int) -> None:
 
 
 @dataclass(frozen=True)
-class SpaceImplication:
-    universe: str
+class Implication:
+    """On every instance of ``universe``, the hypotheses together imply the
+    conclusions together.  The universe is a generator class, 'relations',
+    or a (domain class, codomain class) pair for the maps between them."""
+
+    universe: str | tuple[str, str]
     hypothesis: tuple[str, ...]
     conclusion: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MapImplication:
-    domain_class: str
-    codomain_class: str
-    hypothesis: tuple[str, ...]
-    conclusion: tuple[str, ...]
-
-    @property
-    def universe(self) -> tuple[str, str]:
-        return self.domain_class, self.codomain_class
 
 
 @dataclass(frozen=True)
 class Claim:
     id: str
     description: str
-    implications: tuple
+    implications: tuple[Implication, ...]
 
 
 @dataclass
@@ -165,38 +158,32 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "axioms-equiv-check",
             "fast profile evaluation agrees with the literal definitional sweep",
-            (SpaceImplication("all", (), ("profile_consistent",)),),
+            (Implication("all", (), ("profile_consistent",)),),
         ),
         Claim(
             "cor-r0",
             "exterior-separated spaces are pointwise-symmetric and r0",
-            (
-                SpaceImplication(
-                    "all", ("exterior_separated",), ("pointwise_symmetric", "r0")
-                ),
-            ),
+            (Implication("all", ("exterior_separated",), ("pointwise_symmetric", "r0")),),
         ),
         Claim(
             "thm-equiv-isotonic",
             "pointwise-symmetric, r0, and exterior-separated coincide on isotonic spaces",
             (
-                SpaceImplication("isotonic", ("pointwise_symmetric",), ("r0",)),
-                SpaceImplication("isotonic", ("r0",), ("exterior_separated",)),
-                SpaceImplication(
-                    "isotonic", ("exterior_separated",), ("pointwise_symmetric",)
-                ),
+                Implication("isotonic", ("pointwise_symmetric",), ("r0",)),
+                Implication("isotonic", ("r0",), ("exterior_separated",)),
+                Implication("isotonic", ("exterior_separated",), ("pointwise_symmetric",)),
             ),
         ),
         Claim(
             "thm-clthm-formula",
             "closure tables of exterior-separated spaces are determined by their separated pairs",
-            (SpaceImplication("exterior_separated", (), ("reconstruction_formula",)),),
+            (Implication("exterior_separated", (), ("reconstruction_formula",)),),
         ),
         Claim(
             "thm-reconstruct",
             "relations passing both conditions rebuild an isotonic pointwise-symmetric space with the same separated pairs",
             (
-                SpaceImplication(
+                Implication(
                     "relations",
                     ("reconstruction_conditions",),
                     ("rebuilt_isotonic", "rebuilt_pointwise_symmetric", "rebuilt_same_pairs"),
@@ -206,37 +193,37 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-roundtrip",
             "isotonic pointwise-symmetric spaces survive the relation round-trip",
-            (SpaceImplication("isotonic_pointwise_symmetric", (), ("roundtrip_ok",)),),
+            (Implication("isotonic_pointwise_symmetric", (), ("roundtrip_ok",)),),
         ),
         Claim(
             "thm-crit-grounded",
             "the relation-level groundedness criterion matches the axiom on exterior-separated spaces",
             (
-                SpaceImplication("exterior_separated", ("grounded",), ("grounded_crit",)),
-                SpaceImplication("exterior_separated", ("grounded_crit",), ("grounded",)),
+                Implication("exterior_separated", ("grounded",), ("grounded_crit",)),
+                Implication("exterior_separated", ("grounded_crit",), ("grounded",)),
             ),
         ),
         Claim(
             "thm-crit-enlarging",
             "the disjoint-pairs criterion matches the enlarging axiom on exterior-separated spaces",
             (
-                SpaceImplication("exterior_separated", ("enlarging",), ("enlarging_crit",)),
-                SpaceImplication("exterior_separated", ("enlarging_crit",), ("enlarging",)),
+                Implication("exterior_separated", ("enlarging",), ("enlarging_crit",)),
+                Implication("exterior_separated", ("enlarging_crit",), ("enlarging",)),
             ),
         ),
         Claim(
             "thm-crit-sublinear",
             "the union-closure criterion matches the sub-linear axiom on exterior-separated spaces",
             (
-                SpaceImplication("exterior_separated", ("sublinear",), ("sublinear_crit",)),
-                SpaceImplication("exterior_separated", ("sublinear_crit",), ("sublinear",)),
+                Implication("exterior_separated", ("sublinear",), ("sublinear_crit",)),
+                Implication("exterior_separated", ("sublinear_crit",), ("sublinear",)),
             ),
         ),
         Claim(
             "thm-idem-sufficient",
             "on enlarging exterior-separated spaces the sufficiency condition forces idempotence",
             (
-                SpaceImplication(
+                Implication(
                     "exterior_separated",
                     ("enlarging", "idempotent_sufficient"),
                     ("idempotent",),
@@ -247,7 +234,7 @@ CATALOG: dict[str, Claim] = {
             "thm-idem-necessary",
             "isotonic idempotent exterior-separated spaces satisfy the sufficiency condition",
             (
-                SpaceImplication(
+                Implication(
                     "exterior_separated",
                     ("isotonic", "idempotent"),
                     ("idempotent_sufficient",),
@@ -258,41 +245,37 @@ CATALOG: dict[str, Claim] = {
             "thm-cp-cont",
             "closure-preserving and continuous imply each other across isotonic sides",
             (
-                MapImplication("all", "isotonic", ("closure_preserving",), ("continuous",)),
-                MapImplication("isotonic", "all", ("continuous",), ("closure_preserving",)),
+                Implication(("all", "isotonic"), ("closure_preserving",), ("continuous",)),
+                Implication(("isotonic", "all"), ("continuous",), ("closure_preserving",)),
             ),
         ),
         Claim(
             "thm-cp-implies-ns",
             "closure-preserving maps are nonseparating, with no axioms on either side",
-            (MapImplication("all", "all", ("closure_preserving",), ("nonseparating",)),),
+            (Implication(("all", "all"), ("closure_preserving",), ("nonseparating",)),),
         ),
         Claim(
             "cor-cont-implies-ns",
             "continuous maps with isotonic domain are nonseparating",
-            (MapImplication("isotonic", "all", ("continuous",), ("nonseparating",)),),
+            (Implication(("isotonic", "all"), ("continuous",), ("nonseparating",)),),
         ),
         Claim(
             "thm-preimage",
             "nonseparating matches preimage separation across isotonic sides",
             (
-                MapImplication(
-                    "all", "isotonic", ("nonseparating",), ("preimage_separating",)
-                ),
-                MapImplication(
-                    "isotonic", "all", ("preimage_separating",), ("nonseparating",)
-                ),
+                Implication(("all", "isotonic"), ("nonseparating",), ("preimage_separating",)),
+                Implication(("isotonic", "all"), ("preimage_separating",), ("nonseparating",)),
             ),
         ),
         Claim(
             "thm-ns-iff-cp",
             "nonseparating equals closure-preserving onto exterior-separated codomains",
             (
-                MapImplication(
-                    "all", "exterior_separated", ("nonseparating",), ("closure_preserving",)
+                Implication(
+                    ("all", "exterior_separated"), ("nonseparating",), ("closure_preserving",)
                 ),
-                MapImplication(
-                    "all", "exterior_separated", ("closure_preserving",), ("nonseparating",)
+                Implication(
+                    ("all", "exterior_separated"), ("closure_preserving",), ("nonseparating",)
                 ),
             ),
         ),
@@ -300,15 +283,13 @@ CATALOG: dict[str, Claim] = {
             "cor-ns-iff-cont",
             "nonseparating equals continuous for isotonic spaces with pointwise-symmetric codomain",
             (
-                MapImplication(
-                    "isotonic",
-                    "isotonic_pointwise_symmetric",
+                Implication(
+                    ("isotonic", "isotonic_pointwise_symmetric"),
                     ("nonseparating",),
                     ("continuous",),
                 ),
-                MapImplication(
-                    "isotonic",
-                    "isotonic_pointwise_symmetric",
+                Implication(
+                    ("isotonic", "isotonic_pointwise_symmetric"),
                     ("continuous",),
                     ("nonseparating",),
                 ),
@@ -323,32 +304,32 @@ NEGATIVE_CATALOG: dict[str, Claim] = {
         Claim(
             "neg-pws-not-extsep",
             "pointwise-symmetric does not imply exterior-separated in general",
-            (SpaceImplication("all", ("pointwise_symmetric",), ("exterior_separated",)),),
+            (Implication("all", ("pointwise_symmetric",), ("exterior_separated",)),),
         ),
         Claim(
             "neg-r0-not-extsep",
             "r0 does not imply exterior-separated in general",
-            (SpaceImplication("all", ("r0",), ("exterior_separated",)),),
+            (Implication("all", ("r0",), ("exterior_separated",)),),
         ),
         Claim(
             "neg-cont-not-cp",
             "continuity does not imply closure preservation in general",
-            (MapImplication("all", "all", ("continuous",), ("closure_preserving",)),),
+            (Implication(("all", "all"), ("continuous",), ("closure_preserving",)),),
         ),
         Claim(
             "neg-cp-not-cont",
             "closure preservation does not imply continuity in general",
-            (MapImplication("all", "all", ("closure_preserving",), ("continuous",)),),
+            (Implication(("all", "all"), ("closure_preserving",), ("continuous",)),),
         ),
         Claim(
             "neg-ns-not-cp",
             "nonseparating does not imply closure-preserving in general",
-            (MapImplication("all", "all", ("nonseparating",), ("closure_preserving",)),),
+            (Implication(("all", "all"), ("nonseparating",), ("closure_preserving",)),),
         ),
         Claim(
             "neg-ns-not-cont",
             "nonseparating does not imply continuity in general",
-            (MapImplication("all", "all", ("nonseparating",), ("continuous",)),),
+            (Implication(("all", "all"), ("nonseparating",), ("continuous",)),),
         ),
     ]
 }
@@ -695,7 +676,7 @@ def hunt_counterexample(
     _require_at_least(1, n_max=n_max)
     _require_at_least(0, budget=budget)
     claim = NEGATIVE_CATALOG[claim_id]
-    maps = isinstance(claim.implications[0], MapImplication)
+    maps = isinstance(claim.implications[0].universe, tuple)
     sizes = range(1, n_max + 1)
     if maps:
         steps = sorted(((nx, ny) for nx in sizes for ny in sizes), key=lambda p: (sum(p), p[0]))

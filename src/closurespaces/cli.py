@@ -23,9 +23,9 @@ from .separation import ConditionsViolated, closure_from_relation, separated_pai
 
 def _read(path: str) -> tuple[str, Path | None]:
     if path == "-":
-        return sys.stdin.read(), None
+        return formats.read_text(None), None
     p = Path(path)
-    return p.read_text(), p.parent
+    return formats.read_text(p), p.parent
 
 
 def _bool(value: bool) -> str:
@@ -167,10 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ClosureSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ClosureSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

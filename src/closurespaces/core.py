@@ -152,8 +152,8 @@ def axiom_profile(space: Space) -> AxiomProfile:
     """Evaluate the five closure axioms on the full table.
 
     Isotonicity uses the single-bit-drop test, which costs O(2**n * n)
-    instead of the all-pairs O(4**n) sweep; the two agree on every table
-    (see :func:`axiom_profile_by_definition` for the audit path).
+    instead of the all-pairs O(4**n) sweep; the two agree on every table,
+    which the claim 'axioms-equiv-check' audits against the all-pairs kernel.
     """
     t = space.table
     n = space.ground.n
@@ -186,33 +186,6 @@ def axiom_profile(space: Space) -> AxiomProfile:
             break
 
     return AxiomProfile(grounded, isotonic, enlarging, idempotent, sublinear)
-
-
-def axiom_profile_by_definition(space: Space) -> AxiomProfile:
-    """Same five axioms, with isotonicity checked over all subset pairs.
-
-    Kept separate from :func:`axiom_profile` so the fast path can be audited
-    against the literal definition.
-    """
-    t = space.table
-    size = space.ground.size
-
-    isotonic = True
-    for b in range(size):
-        cb = t[b]
-        a = b
-        while True:  # all submasks of b, descending
-            if t[a] & ~cb:
-                isotonic = False
-                break
-            if a == 0:
-                break
-            a = (a - 1) & b
-        if not isotonic:
-            break
-
-    fast = axiom_profile(space)
-    return AxiomProfile(fast.grounded, isotonic, fast.enlarging, fast.idempotent, fast.sublinear)
 
 
 def _in_every_neighborhood(interiors: list[int], x: int, y: int) -> bool:

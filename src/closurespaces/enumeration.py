@@ -17,9 +17,14 @@ draws):
   as there are picks of an up-set with signature M[x] for every x.
 * exterior-separated tables are exactly those whose singleton rows form a
   symmetric matrix R and whose entry for each A contains the forced mask
-  {x : R(x) meets A}.  :func:`_matrix_rows` turns matrix bits into the rows R
-  and :func:`_forced` gives the forced masks; the stream adds every
-  combination of extra bits, the sampler one uniform draw per entry.
+  {x : R(x) meets A}.  :func:`_extsep_rows` numbers them matrix by matrix
+  too, R owning 2**k numbers, k being the number of bits outside the forced
+  masks of the entries that are not singletons.
+
+Both matrix-built classes keep one cached parts table per n (the matrices'
+parameters and table counts), which :func:`class_size` sums, and one decoder
+from table numbers, which finds the owning matrix through :func:`_runs`;
+their streams are the sorted decode of every number.
 
 The isotonic sampler draws one pick per output bit.  The
 pointwise-symmetric sampler draws uniform table numbers, so it draws M with
@@ -27,7 +32,7 @@ weight the number of its tables and then one uniform up-set per bit.  It
 replaced a rejection loop over isotonic samples: the distribution, uniform
 over the class, is the same, but a seed now selects different tables.  The
 exterior-separated sampler draws all matrix bits in one call and then all
-extra bits in one call.
+extra bits in one call, and keeps the extra bits that R leaves free.
 
 All constructions are cross-checked against filter-based oracles in the
 test suite.
@@ -141,6 +146,15 @@ def _matrix_rows(bits: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
+def _runs(counts: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix owning each table number, matrix m owning the ``counts[m]``
+    numbers after those of the matrices before it, and the number's offset
+    in that run."""
+    ends = np.cumsum(counts)
+    m = np.searchsorted(ends, index, side="right")
+    return m, index - (ends - counts)[m]
+
+
 @lru_cache(maxsize=None)
 def _pws_parts(n: int):
     """Parameters of the isotonic pointwise-symmetric tables.
@@ -171,9 +185,7 @@ def _pws_rows(index: np.ndarray, n: int) -> np.ndarray:
     up-sets with signature M[x].
     """
     fams, starts, counts, rows, weights = _pws_parts(n)
-    ends = np.cumsum(weights)
-    m = np.searchsorted(ends, index, side="right")
-    rest = index - (ends - weights)[m]
+    m, rest = _runs(weights, index)
     sig = rows[m]
     picks = np.empty_like(sig)
     for x in reversed(range(n)):
@@ -193,56 +205,53 @@ def _forced(rows: np.ndarray, n: int) -> np.ndarray:
     return forced
 
 
-def _free_entries(n: int) -> list[int]:
-    """Subsets whose entry may hold extra bits: all but the singletons,
-    whose entries the matrix fixes."""
-    return [a for a in range(1 << n) if a & (a - 1) or a == 0]
+@lru_cache(maxsize=None)
+def _extsep_parts(n: int):
+    """Parameters of the exterior-separated tables.
 
-
-_MATRIX_BATCH = 1 << 14
-
-
-def extsep_count(n: int) -> int:
-    """Exact number of exterior-separated tables on n elements.
-
-    Each symmetric matrix contributes 2**k tables, k being the number of bits
-    outside the forced masks of its free entries.  Matrices go in batches, so
-    the working set stays at (batch, 2**n) entries for every n.
+    Returns, for each symmetric matrix R in matrix-bits order, the forced
+    masks of :func:`_forced`; the free masks, the bits outside them (none at
+    the singletons, whose entries R fixes); and the table count, 2 to the
+    number of free bits.  Above n = 4 a count would overflow int64.
     """
-    full = (1 << n) - 1
-    popcount = np.array([bin(m).count("1") for m in range(1 << n)])
-    free = _free_entries(n)
-    total = 0
-    for start in range(0, _matrix_count(n), _MATRIX_BATCH):
-        bits = np.arange(start, min(start + _MATRIX_BATCH, _matrix_count(n)))
-        forced = _forced(_matrix_rows(bits, n), n)
-        free_bits = popcount[full ^ forced[:, free]].sum(axis=1)
-        total += sum(int(c) << f for f, c in enumerate(np.bincount(free_bits)))
-    return total
+    if n > SAMPLE_MAX_N:
+        raise UniverseTooLarge(
+            f"exterior-separated tables are limited to n <= {SAMPLE_MAX_N}, got {n}"
+        )
+    forced = _forced(_matrix_rows(np.arange(_matrix_count(n)), n), n)
+    free = ((1 << n) - 1) ^ forced
+    free[:, [1 << x for x in range(n)]] = 0
+    popcount = np.array([bin(f).count("1") for f in range(1 << n)], np.int64)
+    parts = (forced, free, np.int64(1) << popcount[free].sum(axis=1))
+    for part in parts:
+        part.setflags(write=False)  # cached and shared; callers must not mutate
+    return parts
+
+
+def _extsep_rows(index: np.ndarray, n: int) -> np.ndarray:
+    """The exterior-separated tables numbered ``index``.
+
+    The matrices own consecutive runs of numbers, in matrix-bits order.
+    Within the run of R, the remainder's bits, least significant first, set
+    the free bits of R's entries in subset order, each entry's from bit 0 up.
+    """
+    forced, free, counts = _extsep_parts(n)
+    m, rest = _runs(counts, index)
+    tables = forced[m]
+    for a in np.flatnonzero(free.any(axis=0)):  # every entry but the singletons
+        mask = free[m, a]
+        for x in range(n):
+            bit = (mask >> x) & 1
+            tables[:, a] |= (rest & bit) << x
+            rest >>= bit
+    return tables
 
 
 @lru_cache(maxsize=8)
 def extsep_tables(n: int) -> np.ndarray:
     """All exterior-separated tables on n elements, lexicographic."""
     _check_stream(n, "exterior_separated")
-    size = 1 << n
-    full = size - 1
-    # by_rank[f, d] is the d-th submask of f in ascending order
-    by_rank = np.zeros((size, size), np.int64)
-    choices = np.zeros(size, np.int64)
-    for f in range(size):
-        subs = [s for s in range(size) if s & ~f == 0]
-        by_rank[f, : len(subs)] = subs
-        choices[f] = len(subs)
-    tables = _forced(_matrix_rows(np.arange(_matrix_count(n)), n), n)
-    for a in _free_entries(n):
-        # one copy of each table per choice of extra bits at entry a
-        free = full ^ tables[:, a]
-        reps = choices[free]
-        tables = np.repeat(tables, reps, axis=0)
-        rank = np.arange(tables.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
-        tables[:, a] |= by_rank[np.repeat(free, reps), rank]
-    return _lexicographic(tables)
+    return _lexicographic(_extsep_rows(np.arange(class_size(n, "exterior_separated")), n))
 
 
 @lru_cache(maxsize=8)
@@ -259,10 +268,8 @@ def class_size(n: int, cls: str) -> int:
         return size**size
     if cls == "isotonic":
         return len(upset_families(n)) ** n
-    if cls == "isotonic_pointwise_symmetric":
-        *_, weights = _pws_parts(n)
-        return int(weights.sum())
-    return extsep_count(n)
+    parts = _pws_parts(n) if cls == "isotonic_pointwise_symmetric" else _extsep_parts(n)
+    return int(parts[-1].sum())
 
 
 def all_tables_block(n: int, start: int, stop: int) -> np.ndarray:
@@ -349,10 +356,10 @@ def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
         return _pws_rows(rng.integers(0, class_size(n, cls), size=count), n)
 
     # remaining class: exterior_separated
-    forced = _forced(_matrix_rows(rng.integers(0, _matrix_count(n), size=count), n), n)
+    forced, free, _ = _extsep_parts(n)
+    m = rng.integers(0, _matrix_count(n), size=count)
     extra = rng.integers(0, size, size=(count, size), dtype=np.int64)
-    extra[:, [1 << x for x in range(n)]] = 0  # singleton entries are fixed
-    return forced | extra
+    return forced[m] | (extra & free[m])
 
 
 def all_assignments(nx: int, ny: int) -> np.ndarray:

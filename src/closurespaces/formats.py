@@ -10,6 +10,7 @@ subset strings, so the canonical form of a document is unique.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -59,6 +60,17 @@ def _loads(text: str) -> Any:
         return json.loads(text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentSyntaxError("document nests too deeply to parse") from exc
+
+
+def read_text(path: Path | None) -> str:
+    """The text of the document file ``path``, or of stdin when None; bytes
+    that do not decode make the document malformed."""
+    try:
+        return sys.stdin.read() if path is None else path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DocumentSyntaxError(f"{path or 'stdin'} is not text: {exc}") from exc
 
 
 def _expect_object(obj: Any, keys: set[str], what: str) -> None:
@@ -208,7 +220,7 @@ def map_document(mp: SpaceMap) -> dict:
 def _space_operand(value: Any, base_dir: str | Path | None) -> Space:
     if isinstance(value, str):
         path = Path(base_dir) / value if base_dir is not None else Path(value)
-        return parse_space(path.read_text())
+        return parse_space(read_text(path))
     return space_from_document(value)
 
 

@@ -310,6 +310,29 @@ def isotonic_pointwise_symmetric_sample(n, count, seed):
     return tables
 
 
+def exterior_separated_sample(n, count, seed):
+    """One symmetric relation R per table from the matrix bits (bit k fills
+    the k-th slot (x, y), x <= y), then one extra mask per entry: the entry
+    of {x} is R(x), and every other entry A is {x : R(x) meets A} plus the
+    extra mask drawn for A."""
+    slots = list(combinations_with_replacement(range(n), 2))
+    rng = np.random.default_rng(seed)
+    matrices = rng.integers(0, 1 << len(slots), size=count).tolist()
+    extras = rng.integers(0, 1 << n, size=(count, 1 << n), dtype=np.int64).tolist()
+    singletons = {1 << x for x in range(n)}
+    tables = []
+    for bits, extra in zip(matrices, extras):
+        related = {(x, y) for k, (x, y) in enumerate(slots) if (bits >> k) & 1}
+        related |= {(y, x) for x, y in related}
+        table = []
+        for a in range(1 << n):
+            members = [y for y in range(n) if (a >> y) & 1]
+            forced = sum(1 << x for x in range(n) if any((x, y) in related for y in members))
+            table.append(forced if a in singletons else forced | extra[a])
+        tables.append(table)
+    return tables
+
+
 def relation_sample(n, count, seed):
     """The relations a sampled reconstruction sweep checks, as bitmask rows
     (bit b of row a set iff {a, b} is related), built one relation at a

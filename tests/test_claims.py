@@ -190,7 +190,7 @@ def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
-        (claims.SpaceImplication("all", (), ("grounded",)),),
+        (claims.Implication("all", (), ("grounded",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     monkeypatch.setattr(claims, "_CHUNK", 16)
@@ -274,7 +274,7 @@ def test_violations_are_reported_for_a_false_claim(monkeypatch):
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
-        (claims.SpaceImplication("all", (), ("grounded",)),),
+        (claims.Implication("all", (), ("grounded",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     report = cs.verify_claim("bogus-all-grounded", 1)
@@ -291,7 +291,7 @@ def test_false_map_claim_reports_violations(monkeypatch):
     bogus = claims.Claim(
         "bogus-all-cont",
         "every map is continuous (false)",
-        (claims.MapImplication("all", "all", (), ("continuous",)),),
+        (claims.Implication(("all", "all"), (), ("continuous",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     report = cs.verify_claim("bogus-all-cont", 1, workers=2)
@@ -384,14 +384,14 @@ def test_witness_list_does_not_depend_on_chunk_size(monkeypatch):
         "bogus-grounded-enlarging",
         "every space is grounded, and enlarging ones are isotonic (false)",
         (
-            claims.SpaceImplication("all", (), ("grounded",)),
-            claims.SpaceImplication("all", ("enlarging",), ("isotonic",)),
+            claims.Implication("all", (), ("grounded",)),
+            claims.Implication("all", ("enlarging",), ("isotonic",)),
         ),
     )
     maps = claims.Claim(
         "bogus-all-cont",
         "every map is continuous (false)",
-        (claims.MapImplication("all", "all", (), ("continuous",)),),
+        (claims.Implication(("all", "all"), (), ("continuous",)),),
     )
     for bogus in (space, maps):
         monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
@@ -433,7 +433,7 @@ def test_hunt_reads_several_conclusions_as_their_conjunction(monkeypatch):
     neg = claims.Claim(
         "neg-x",
         "grounded and enlarging (false)",
-        (claims.SpaceImplication("all", (), ("grounded", "enlarging")),),
+        (claims.Implication("all", (), ("grounded", "enlarging")),),
     )
     monkeypatch.setitem(claims.NEGATIVE_CATALOG, neg.id, neg)
     witness = cs.hunt_counterexample(neg.id, n_max=1)
@@ -467,9 +467,9 @@ def _counted(monkeypatch, owner, name):
 @pytest.mark.parametrize(
     "implication,document",
     [
-        (claims.SpaceImplication("all", (), ("grounded",)), "space_document"),
-        (claims.MapImplication("all", "all", (), ("continuous",)), "map_document"),
-        (claims.SpaceImplication("relations", (), ("rebuilt_same_pairs",)), "relation_document"),
+        (claims.Implication("all", (), ("grounded",)), "space_document"),
+        (claims.Implication(("all", "all"), (), ("continuous",)), "map_document"),
+        (claims.Implication("relations", (), ("rebuilt_same_pairs",)), "relation_document"),
     ],
     ids=["space", "map", "relation"],
 )

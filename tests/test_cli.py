@@ -81,6 +81,45 @@ def test_map_check(tmp_path, capsys):
     )
 
 
+# bytes that are not UTF-8, and valid JSON nested past the parser's recursion limit
+_UNPARSABLE = {
+    "not-utf8": b'{"elements": ["\xff"], "closure": {}}',
+    "over-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def _assert_malformed(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("content", list(_UNPARSABLE.values()), ids=list(_UNPARSABLE))
+@pytest.mark.parametrize("command", ["check", "separate", "derive", "map-check"])
+def test_unparsable_document_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    _assert_malformed(main(["--quiet", command, str(path)]), capsys)
+
+
+def test_map_document_naming_a_non_utf8_space_exits_2(tmp_path, capsys):
+    (tmp_path / "x.json").write_bytes(_UNPARSABLE["not-utf8"])
+    (tmp_path / "y.json").write_text(formats.serialize_space(D2))
+    doc = {"domain": "x.json", "codomain": "y.json", "assignment": {"a": "a", "b": "b"}}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    _assert_malformed(main(["--quiet", "map-check", str(path)]), capsys)
+
+
+def test_non_utf8_stdin_exits_2(monkeypatch, capsys):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(_UNPARSABLE["not-utf8"]), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    _assert_malformed(main(["--quiet", "check", "-"]), capsys)
+
+
 def test_verify_summary_and_exit_code(capsys):
     assert main(["--quiet", "verify", "--claim", "cor-r0", "--n", "2"]) == 0
     out = capsys.readouterr().out
@@ -97,7 +136,7 @@ def test_verify_violations_exit_1_and_print(monkeypatch, capsys):
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
-        (claims.SpaceImplication("all", (), ("grounded",)),),
+        (claims.Implication("all", (), ("grounded",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     assert main(["--quiet", "verify", "--claim", "bogus-all-grounded", "--n", "1"]) == 1
@@ -125,7 +164,11 @@ def test_sampled_map_violations_at_n3_match_the_golden(monkeypatch, capsys):
         "bogus-iso-pws-cont",
         "every map from an isotonic space to an isotonic pointwise-symmetric "
         "space is continuous (false)",
-        (claims.MapImplication("isotonic", "isotonic_pointwise_symmetric", (), ("continuous",)),),
+        (
+            claims.Implication(
+                ("isotonic", "isotonic_pointwise_symmetric"), (), ("continuous",)
+            ),
+        ),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     golden = Path(__file__).parent / "goldens" / "verify-bogus-map-n3.txt"
@@ -203,14 +246,14 @@ def test_map_claim_beyond_sampler_exits_2_before_enumerating(monkeypatch, capsys
 
 @pytest.mark.parametrize("claim_id", ["thm-clthm-formula", "thm-crit-grounded", "thm-reconstruct"])
 def test_space_claim_beyond_enumeration_exits_2_before_counting(monkeypatch, capsys, claim_id):
-    count = enumeration.extsep_count
+    parts = enumeration._extsep_parts
 
     def refuse(n):
         if n > 3:
             raise AssertionError("exterior-separated tables counted before the size check")
-        return count(n)
+        return parts(n)
 
-    monkeypatch.setattr(enumeration, "extsep_count", refuse)
+    monkeypatch.setattr(enumeration, "_extsep_parts", refuse)
     assert main(["--quiet", "verify", "--claim", claim_id, "--n", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -129,11 +129,6 @@ def test_interior_exterior_complements(sp):
         assert cs.exterior(sp, a) == full ^ cs.closure(sp, a)
 
 
-@given(spaces())
-def test_fast_isotonic_matches_definitional(sp):
-    assert cs.axiom_profile(sp) == cs.axiom_profile_by_definition(sp)
-
-
 def _assert_profiles_match_oracle(sp):
     universe, cl = oracles.from_space(sp)
     prof = cs.axiom_profile(sp)
