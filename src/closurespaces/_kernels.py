@@ -58,19 +58,30 @@ HAVE_NUMBA = False
 MAX_ROW_N = 6
 
 
+def _monotone(cols, n):
+    # cols[:, a ^ (1 << x)] ⊆ cols[:, a] for every a and every point x of a;
+    # dropping one point at a time reaches every subset, so these pairs say
+    # that cols[:, a] grows with a
+    ok = np.ones(cols.shape[0], bool)
+    for a in range(1 << n):
+        for x in range(n):
+            if a >> x & 1:
+                ok &= (cols[:, a ^ (1 << x)] & ~cols[:, a]) == 0
+    return ok
+
+
+def _incomparable_pairs(n):
+    # the subset pairs a < b where neither contains the other
+    size = 1 << n
+    return [(a, b) for a in range(size) for b in range(a + 1, size) if a & b not in (a, b)]
+
+
 def _axiom_flags(tables, n):
     count = tables.shape[0]
     size = 1 << n
 
     grounded = tables[:, 0] == 0
-
-    isotonic = np.ones(count, bool)
-    for a in range(size):
-        ca = tables[:, a]
-        for x in range(n):
-            bit = 1 << x
-            if a & bit:
-                isotonic &= (tables[:, a ^ bit] & ~ca) == 0
+    isotonic = _monotone(tables, n)
 
     enlarging = np.ones(count, bool)
     for a in range(size):
@@ -85,11 +96,8 @@ def _axiom_flags(tables, n):
     # cl(a | b) ⊆ cl(a) | cl(b) holds trivially when one of a, b contains
     # the other
     sublinear = np.ones(count, bool)
-    for a in range(size):
-        ta = tables[:, a]
-        for b in range(a + 1, size):
-            if a & b not in (a, b):
-                sublinear &= (tables[:, a | b] & ~(ta | tables[:, b])) == 0
+    for a, b in _incomparable_pairs(n):
+        sublinear &= (tables[:, a | b] & ~(tables[:, a] | tables[:, b])) == 0
 
     return np.stack([grounded, isotonic, enlarging, idempotent, sublinear], axis=1)
 
@@ -201,10 +209,8 @@ def _criteria_flags(tables, n):
     # whatever is related to b and to c is related to b | c; this holds
     # trivially when one of b, c contains the other
     sublinear_crit = np.ones(count, bool)
-    for b in range(size):
-        for c in range(b + 1, size):
-            if b & c not in (b, c):
-                sublinear_crit &= (rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0
+    for b, c in _incomparable_pairs(n):
+        sublinear_crit &= (rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0
 
     # the sufficiency condition: b inside nb[a] forces nb[b] inside nb[a].
     # g[m], the union of nb[b] over every b ⊆ m, must then lie inside m = nb[a].
@@ -219,35 +225,26 @@ def _criteria_flags(tables, n):
     return np.stack([grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient], axis=1)
 
 
-def _condition1(rows, n):
-    # reconstruction condition 1: rows[b] inside rows[a] for a ⊆ b; dropping
-    # one point at a time reaches every subset, so those pairs suffice
-    ok = np.ones(rows.shape[0], bool)
-    for b in range(1 << n):
-        for x in range(n):
-            if b >> x & 1:
-                ok &= (rows[:, b] & ~rows[:, b ^ (1 << x)]) == 0
-    return ok
-
-
 def _roundtrip_flags(tables, n):
     rows = _separation_rows(tables, n)
     # condition 2 asks that the rows of the table nb rebuilds lie inside rows;
-    # when nb equals the table, those rows are rows itself
+    # when nb equals the table, those rows are rows itself.  Condition 1 asks
+    # rows[b] ⊆ rows[a] for a ⊆ b: the complemented rows grow with the subset
     rebuilds_table = (_neighbourhoods(rows, n) == tables).all(axis=1)
-    return rebuilds_table & _condition1(rows, n)
+    return rebuilds_table & _monotone(~rows, n)
 
 
 def _reconstruct_flags(rows, n):
     # the conditions on the relations, then what the table nb they rebuild
     # is: isotonic, pointwise-symmetric, separating exactly the given pairs.
-    # Condition 2 (a ∩ nb[b] = ∅ and b ∩ nb[a] = ∅ force {a, b} related)
-    # reads: the pairs nb separates are related
+    # Condition 1 is as in _roundtrip_flags.  Condition 2 (a ∩ nb[b] = ∅ and
+    # b ∩ nb[a] = ∅ force {a, b} related) reads: the pairs nb separates are
+    # related
     nb = _neighbourhoods(rows, n)
     rebuilt = _separation_rows(nb, n)
     return np.stack(
         [
-            _condition1(rows, n) & ((rebuilt & ~rows) == 0).all(axis=1),
+            _monotone(~rows, n) & ((rebuilt & ~rows) == 0).all(axis=1),
             _isotonic_all_pairs(nb, n),
             _symmetry_flags(nb, n)[:, 0],
             (rebuilt == rows).all(axis=1),

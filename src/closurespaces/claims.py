@@ -14,15 +14,18 @@ states.
 One evaluator, :func:`_violations`, serves the claims over spaces, maps
 and relations, and the hunts: on a block of instances it counts the
 (instance, implication) pairs whose hypothesis holds and whose conclusions
-do not all hold, and names the instances of the first k in sweep order
-(instance by instance, implications in catalog order).  Predicate columns
-are bool, as the kernels return them.  A verify sweep runs through
+do not all hold, and names the instances of the first VIOLATION_CAP in
+sweep order (instance by instance, implications in catalog order).
+Predicate columns are bool, as the kernels return them.  Each block
+function returns the instances it checked, that count, the rows of those
+first violations and their witness formatter.  A verify sweep runs through
 :func:`_sweep`.  A hunt evaluates its negative claim's implication and
 runs one loop over size steps: n for a space claim, and (nx, ny)
 ordered by nx + ny, then nx, for a map claim, whose universe is a pair.
-Each step evaluates, with k = 1, the lexicographic prefix of the domain
-tables at nx that the rest of the budget affords, and a step that affords
-none is skipped before its codomain is built.
+Each step evaluates the lexicographic prefix of the domain tables at nx
+that the rest of the budget affords, block by block, and stops at the
+first block with a violation; a step that affords none is skipped before
+its codomain is built.
 
 A relation claim is a space claim over the universe 'relations', whose rows
 are separation rows (``_kernels``' relation format) rather than tables.
@@ -53,6 +56,7 @@ witnesses the report keeps.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -99,7 +103,8 @@ class UnknownClaim(ClosureSpaceError):
 
 
 class InvalidSweepArgument(ClosureSpaceError):
-    """Carrier size, budget or worker count below 1, or a negative hunt budget."""
+    """Carrier size, budget or worker count below 1, or a negative seed or
+    hunt budget."""
 
 
 def _require_at_least(low: int, **values: int) -> None:
@@ -401,16 +406,17 @@ def _map_witness(nx: int, ny: int, row: np.ndarray) -> dict:
     return {"kind": "map", "nx": nx, "ny": ny, "map": formats.map_document(mp)}
 
 
-def _violations(shape: tuple, get: Callable, implications, k: int) -> tuple[int, tuple]:
+def _violations(shape: tuple, get: Callable, implications) -> tuple[int, tuple]:
     """Evaluate implications on a block of instances indexed by ``shape``.
 
     ``get`` gives a named predicate's bool column over the block
     (broadcastable to ``shape``); a column may be a view of a kernel's
     output or a cached column, so it is read, never written.  Returns the
     number of (instance, implication) pairs whose hypothesis holds and
-    whose conclusions do not all hold, and the instances of the first k of
-    them in sweep order (instance by instance, each instance's implications
-    in the order given) as one index array per axis of ``shape``.
+    whose conclusions do not all hold, and the instances of the first
+    VIOLATION_CAP of them in sweep order (instance by instance, each
+    instance's implications in the order given) as one index array per axis
+    of ``shape``.
     """
 
     def holds(names: tuple[str, ...]) -> np.ndarray:
@@ -420,15 +426,16 @@ def _violations(shape: tuple, get: Callable, implications, k: int) -> tuple[int,
         return mask
 
     bad = np.stack([holds(i.hypothesis) & ~holds(i.conclusion) for i in implications], axis=-1)
-    first = np.unravel_index(np.flatnonzero(bad)[:k], bad.shape)[:-1]
+    first = np.unravel_index(np.flatnonzero(bad)[:VIOLATION_CAP], bad.shape)[:-1]
     return int(np.count_nonzero(bad)), first
 
 
-def _space_block(n: int, witness: Callable, implications, k: int, tables: np.ndarray):
+def _space_block(n: int, witness: Callable, implications, tables: np.ndarray):
     """:func:`_violations` over the rows of a block: tables, or separation
-    rows for the relation predicates.  Returns the violation count, a copy
-    of the rows of the first k, and ``witness`` bound to n, which formats
-    one of those rows as a document."""
+    rows for the relation predicates, one instance each.  Returns the
+    instances checked, the violation count, a copy of the rows of the first
+    VIOLATION_CAP, and ``witness`` bound to n, which formats one of those
+    rows as a document."""
     flags: dict[str, np.ndarray] = {}  # each kernel runs once per block
 
     def get(name: str) -> np.ndarray:
@@ -442,11 +449,11 @@ def _space_block(n: int, witness: Callable, implications, k: int, tables: np.nda
             flags[kernel_name] = out.reshape(tables.shape[0], -1)
         return flags[kernel_name][:, column]
 
-    total, (i,) = _violations(tables.shape[:1], get, implications, k)
-    return total, tables[i], partial(witness, n)
+    total, (i,) = _violations(tables.shape[:1], get, implications)
+    return tables.shape[0], total, tables[i], partial(witness, n)
 
 
-def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callable:
+def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
     """:func:`_violations` over the maps from a domain table block to the
     codomain tables ``ty``, as a function of the block.
 
@@ -461,7 +468,7 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
     bounds = np.concatenate([_kernels.build_map_tables(load(), fmaps, nx, ny) for load in loaders])
     map_flags = _kernels.kernel("map_flags")
 
-    def evaluate(tx: np.ndarray) -> tuple[int, np.ndarray, Callable[[np.ndarray], dict]]:
+    def evaluate(tx: np.ndarray) -> tuple[int, int, np.ndarray, Callable[[np.ndarray], dict]]:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
 
         def get(name: str) -> np.ndarray:
@@ -469,9 +476,9 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications, k: int) -> Callab
                 raise UnknownClaim(f"unknown map predicate: {name!r}")
             return out[..., MAP_PREDICATES[name]]
 
-        total, (i, j, f) = _violations(out.shape[:3], get, implications, k)
+        total, (i, j, f) = _violations(out.shape[:3], get, implications)
         rows = np.concatenate([tx[i], ty[j], fmaps[f]], axis=1)
-        return total, rows, partial(_map_witness, nx, ny)
+        return math.prod(out.shape[:3]), total, rows, partial(_map_witness, nx, ny)
 
     return evaluate
 
@@ -491,19 +498,13 @@ def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _sweep(
-    report, loaders: list, evaluate: Callable, per_row: int, workers: int, exhaustive: bool
-) -> None:
-    """Evaluate each loader's block as one pool job, ``per_row`` instances
-    per row, and merge the jobs' counts and witness rows, as the block
-    functions return them, into ``report`` in job order, formatting only
-    the first VIOLATION_CAP witnesses in sweep order."""
-
-    def job(load: Callable[[], np.ndarray]) -> tuple:
-        block = load()
-        return (block.shape[0] * per_row, *evaluate(block))
-
-    for checked, total, rows, witness in _run_ordered(loaders, job, workers):
+def _sweep(report, loaders: list, evaluate: Callable, workers: int, exhaustive: bool) -> None:
+    """Evaluate each loader's block as one pool job and merge the jobs'
+    counts and witness rows, as the block functions return them, into
+    ``report`` in job order, formatting only the first VIOLATION_CAP
+    witnesses in sweep order."""
+    results = _run_ordered(loaders, lambda load: evaluate(load()), workers)
+    for checked, total, rows, witness in results:
         report.instances_checked += checked
         report.total_violations += total
         report.violations.extend(map(witness, rows[: VIOLATION_CAP - len(report.violations)]))
@@ -540,8 +541,8 @@ def _relation_sample(n: int, count: int, seed: int) -> np.ndarray:
 
 def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
     """What the sweep of one group of implications covers, decided before
-    any table is loaded: returns the chunk loaders, the block function, the
-    instances per row and whether the sweep is exhaustive.
+    any table is loaded: returns the chunk loaders, the block function and
+    whether the sweep is exhaustive.
 
     The group's universe is a table class, the relations, or the maps from a
     domain class to a codomain class.  It is swept whole when it streams
@@ -572,15 +573,14 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
         if exhaustive:
             ty = np.concatenate([load() for load in chunk_loaders(n, cls_y)])
         else:
-            side = max(1, min(MAP_SAMPLE_CAP, int((affordable // fcount) ** 0.5)))
+            side = max(1, min(MAP_SAMPLE_CAP, math.isqrt(affordable // fcount)))
             tx = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
             ty = sample_tables(n, cls_y, side, seed + 101 * gi + 3)
-        per_x = ty.shape[0] * fcount
-        chunk = max(1, _CHUNK // per_x)
+        chunk = max(1, _CHUNK // (ty.shape[0] * fcount))
         loaders = (
             chunk_loaders(n, cls_x, chunk_size=chunk) if exhaustive else slice_loaders(tx, chunk)
         )
-        return loaders, _map_block(n, n, ty, impls, VIOLATION_CAP), per_x, exhaustive
+        return loaders, _map_block(n, n, ty, impls), exhaustive
     if universe == "relations":
         pairs = (1 << n) * ((1 << n) + 1) // 2  # the pairs (a, b) with a <= b
         exhaustive = n <= 2 and (1 << pairs) <= affordable
@@ -597,7 +597,7 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
             tables = sample_tables(n, universe, min(SAMPLE_CAP, affordable), seed + gi)
             loaders = slice_loaders(tables, _CHUNK)
         witness = _space_witness
-    return loaders, partial(_space_block, n, witness, impls, VIOLATION_CAP), 1, exhaustive
+    return loaders, partial(_space_block, n, witness, impls), exhaustive
 
 
 def verify_claim(
@@ -612,11 +612,13 @@ def verify_claim(
     The implications are swept in groups, one per universe, each as
     :func:`_plan` decides.  The report keeps the witnesses of the first
     VIOLATION_CAP violations in sweep order, sorted canonically.  Raises
-    InvalidSweepArgument when n, budget or workers is below 1.
+    InvalidSweepArgument when n, budget or workers is below 1 or seed below
+    0, before anything is swept.
     """
     if claim_id not in CATALOG:
         raise UnknownClaim(f"unknown claim id: {claim_id!r}")
     _require_at_least(1, n=n, budget=budget, workers=workers)
+    _require_at_least(0, seed=seed)
     claim = CATALOG[claim_id]
     start = time.perf_counter()
     report = VerificationReport(claim.id, n, 0)
@@ -624,8 +626,8 @@ def verify_claim(
     for impl in claim.implications:
         groups.setdefault(impl.universe, []).append(impl)
     for gi, impls in enumerate(groups.values()):
-        loaders, evaluate, per_row, exhaustive = _plan(n, impls, budget, seed, gi)
-        _sweep(report, loaders, evaluate, per_row, workers, exhaustive)
+        loaders, evaluate, exhaustive = _plan(n, impls, budget, seed, gi)
+        _sweep(report, loaders, evaluate, workers, exhaustive)
     report.violations.sort(key=_canonical_key)
     report.elapsed = time.perf_counter() - start
     return report
@@ -634,16 +636,6 @@ def verify_claim(
 # ---------------------------------------------------------------------------
 # counterexample hunts
 # ---------------------------------------------------------------------------
-
-
-def _first_witness(n: int, scan: int, block: int, evaluate: Callable) -> dict | None:
-    """The first witness among the first ``scan`` tables of the lexicographic
-    universe at size n, decoded and evaluated ``block`` tables at a time."""
-    for lo in range(0, scan, block):
-        _, rows, witness = evaluate(all_tables_block(n, lo, min(lo + block, scan)))
-        if len(rows):
-            return witness(rows[0])
-    return None
 
 
 def hunt_counterexample(
@@ -663,7 +655,9 @@ def hunt_counterexample(
     (for maps, by nx+ny then nx), then lexicographic domain table, codomain
     table, and assignment.  ``seed`` is accepted for interface symmetry with
     verify_claim; the scan itself is deterministic.  Raises
-    InvalidSweepArgument when n_max is below 1 or budget below 0.
+    InvalidSweepArgument when n_max is below 1 or budget below 0, and
+    UniverseTooLarge when n_max exceeds SAMPLE_MAX_N, whose tables the
+    decoder cannot number, before any class is counted.
 
     A map step holds every codomain table of its size pair and their bound
     words: at ny = 3 that is 1 GB of tables, and at (3, 3) 7.2 GB of words.
@@ -675,6 +669,8 @@ def hunt_counterexample(
         raise UnknownClaim(f"unknown negative claim id: {claim_id!r}")
     _require_at_least(1, n_max=n_max)
     _require_at_least(0, budget=budget)
+    if n_max > SAMPLE_MAX_N:
+        raise UniverseTooLarge(f"the hunt is limited to n <= {SAMPLE_MAX_N}, got {n_max}")
     claim = NEGATIVE_CATALOG[claim_id]
     maps = isinstance(claim.implications[0].universe, tuple)
     sizes = range(1, n_max + 1)
@@ -694,12 +690,13 @@ def hunt_counterexample(
             continue
         if maps:
             ty = all_tables_block(ny, 0, class_size(ny, "all"))
-            evaluate = _map_block(nx, ny, ty, claim.implications, 1)
+            evaluate = _map_block(nx, ny, ty, claim.implications)
         else:
-            evaluate = partial(_space_block, nx, _space_witness, claim.implications, 1)
-        witness = _first_witness(nx, scan, max(1, _CHUNK // per_x), evaluate)
-        if witness is not None:
-            witness["claim"] = claim.id
-            return witness
+            evaluate = partial(_space_block, nx, _space_witness, claim.implications)
+        block = max(1, _CHUNK // per_x)
+        for lo in range(0, scan, block):
+            _, _, rows, witness = evaluate(all_tables_block(nx, lo, min(lo + block, scan)))
+            if len(rows):
+                return {**witness(rows[0]), "claim": claim.id}
         spent += scan * cost
     return None

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 claim violations or failed reconstruction
 conditions, 2 malformed input, unknown claim/universe, a sweep argument
-below 1 or a negative hunt budget, 3 hunt exhausted its budget without a
+below 1, a negative seed or hunt budget, or a carrier size beyond the
+sampler (verify) or above 4 (hunt), 3 hunt exhausted its budget without a
 witness.  Stdout is byte-stable for fixed inputs and flags; timing chatter
 goes to stderr and is silenced by --quiet.
 """

@@ -96,9 +96,11 @@ def test_relation_sample_matches_the_oracle(n, count, seed):
     assert rows.tolist() == oracles.relation_sample(n, count, seed)
     # a budget of count relations at 8**n evaluations each plans that sample
     impls = claims.CATALOG["thm-reconstruct"].implications
-    loaders, _, per_row, exhaustive = claims._plan(n, impls, count * 8**n, seed, 0)
-    assert not exhaustive and per_row == 1
+    loaders, evaluate, exhaustive = claims._plan(n, impls, count * 8**n, seed, 0)
+    assert not exhaustive
     assert np.concatenate([load() for load in loaders]).tolist() == rows.tolist()
+    # one instance per relation row
+    assert evaluate(rows)[0] == count
 
 
 def test_sampled_sweep_is_flagged_and_seed_deterministic():
@@ -194,7 +196,7 @@ def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     monkeypatch.setattr(claims, "_CHUNK", 16)
-    loaders, _, _, exhaustive = claims._plan(2, bogus.implications, 256 * 4**2, 0, 0)
+    loaders, _, exhaustive = claims._plan(2, bogus.implications, 256 * 4**2, 0, 0)
     assert len(loaders) == 16 and exhaustive
     solo = cs.verify_claim(bogus.id, 2, workers=1)
     trio = cs.verify_claim(bogus.id, 2, workers=3)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,45 @@ def test_negative_hunt_budget_exits_2(claim_id, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget must be at least 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cor-r0", "--n", "2", "--seed", "-1"],
+        ["cor-r0", "--n", "3", "--seed", "-1"],
+        ["thm-reconstruct", "--n", "3", "--seed", "-1"],
+        ["thm-cp-cont", "--n", "3", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    # exhaustive or sampled, the seed is refused before any sweep
+    assert main(["--quiet", "verify", "--claim", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"seed must be at least 0, got {argv[-1]}" in captured.err
+
+
+def test_budget_beyond_the_float_range_samples_the_capped_map_sides(capsys):
+    # the sample side is an integer square root, so a budget no float holds
+    # prints the line of any budget that reaches the 200-table cap
+    for budget in (10**300, 10**320):
+        argv = ["--quiet", "verify", "--claim", "thm-cp-cont", "--n", "3"]
+        assert main([*argv, "--budget", str(budget)]) == 0
+        assert capsys.readouterr().out == (
+            "claim=thm-cp-cont n=3 checked=2160000 violations=0 exhaustive=false\n"
+        )
+
+
+@pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "21", "--budget", "0"]])
+def test_hunt_beyond_the_decoder_exits_2_before_counting(argv, capsys):
+    # (2**21)**(2**21) tables at n = 21 would take seconds just to count
+    start = time.perf_counter()
+    assert main(["--quiet", "hunt", "--claim", "neg-cp-not-cont", *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limited to n <= 4" in captured.err
 
 
 def test_map_claim_beyond_sampler_exits_2_before_enumerating(monkeypatch, capsys):
