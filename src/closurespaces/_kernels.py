@@ -7,8 +7,8 @@ loops run only over subsets and points, whose number depends on n alone.
 them.
 
 Tables arrive as int64 arrays of shape (count, 2**n); flag outputs are bool
-with one row per instance.  Kernels are pure, so chunk sweeps may run on a
-thread pool.
+with one row per instance.  Kernels are pure: they never write their
+inputs.
 
 The relation kernels hold separated pairs in the row format of
 ``separation.SeparationRelation``: an int64 array of shape (count, 2**n)

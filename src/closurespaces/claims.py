@@ -18,8 +18,8 @@ do not all hold, and names the instances of the first VIOLATION_CAP in
 sweep order (instance by instance, implications in catalog order).
 Predicate columns are bool, as the kernels return them.  Each block
 function returns the instances it checked, that count, the rows of those
-first violations and their witness formatter.  A verify sweep runs through
-:func:`_sweep`.  A hunt evaluates its negative claim's implication and
+first violations and their witness formatter.  A verify sweep merges them in
+:func:`verify_claim`.  A hunt evaluates its negative claim's implication and
 runs one loop over size steps: n for a space claim, and (nx, ny)
 ordered by nx + ny, then nx, for a map claim, whose universe is a pair.
 Each step evaluates the lexicographic prefix of the domain tables at nx
@@ -40,26 +40,23 @@ for a class, n <= 2 for the relations and for maps with class 'all' on
 either side) and fits the budget, and a seeded sample otherwise, which the
 report flags with exhaustive=false.
 
-Chunks of the universe are then independent jobs on a thread pool of at
-most one thread per core, merged in chunk order; a report keeps the first
+Chunks of the universe are then evaluated one at a time, in order, on the
+calling thread, and merged in that order; a report keeps the first
 VIOLATION_CAP witnesses in sweep order, sorted canonically, so it is
-identical for any worker count and chunk size.  Each job loads its own
-tables: a chunk of class 'all' is decoded from its block of the
-lexicographic universe by the pool thread that evaluates it, and a chunk of
-a cached or sampled universe is a slice of an array already in memory.  A
-job returns only its counts and one copy of the rows of its first
-VIOLATION_CAP violations, so the decoded tables in memory stay within
-workers x chunk size, whatever the universe; the merge formats only the
-witnesses the report keeps.
+identical for any chunk size.  A chunk of class 'all' is decoded from its
+block of the lexicographic universe only when its turn comes, and a chunk
+of a cached or sampled universe is a slice of an array already in memory.
+A chunk's evaluation returns only its counts and one copy of the rows of
+its first VIOLATION_CAP violations, so at most one decoded chunk is in
+memory, whatever the universe; the merge formats only the witnesses the
+report keeps.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -103,8 +100,8 @@ class UnknownClaim(ClosureSpaceError):
 
 
 class InvalidSweepArgument(ClosureSpaceError):
-    """Carrier size, budget or worker count below 1, or a negative seed or
-    hunt budget."""
+    """Carrier size or budget below 1, a budget that affords no sample, or a
+    negative seed or hunt budget."""
 
 
 def _require_at_least(low: int, **values: int) -> None:
@@ -489,26 +486,8 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
 
 
 def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
-    # the executor starts a thread per job while none is idle, and each job
-    # holds a decoded chunk, so no more threads than cores
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _sweep(report, loaders: list, evaluate: Callable, workers: int, exhaustive: bool) -> None:
-    """Evaluate each loader's block as one pool job and merge the jobs'
-    counts and witness rows, as the block functions return them, into
-    ``report`` in job order, formatting only the first VIOLATION_CAP
-    witnesses in sweep order."""
-    results = _run_ordered(loaders, lambda load: evaluate(load()), workers)
-    for checked, total, rows, witness in results:
-        report.instances_checked += checked
-        report.total_violations += total
-        report.violations.extend(map(witness, rows[: VIOLATION_CAP - len(report.violations)]))
-    report.exhaustive = report.exhaustive and exhaustive
+    # workers is unused: a thread pool measured no faster than one thread on any sweep
+    return [fn(j) for j in jobs]
 
 
 def _instance_cost(n: int, universe: str | tuple[str, str] = "all") -> int:
@@ -555,16 +534,25 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
     side are swept whole only up to n = 2.
     Group ``gi`` samples with seed + gi, or seed + 101 gi + 2 and + 3 for
     the two map sides.  No other part of a verify sweep reads the budget.
+    Raises InvalidSweepArgument when the budget cannot pay for the smallest
+    sample: one instance, or for maps one table per side under all n**n
+    assignments.
     """
     if n > SAMPLE_MAX_N:
         # no universe at such n is sampled or streamed, so fail before any
         # class is counted or the n**n assignments are enumerated
         raise UniverseTooLarge(f"sampling is limited to n <= {SAMPLE_MAX_N}, got {n}")
     universe = impls[0].universe
-    affordable = max(1, budget // _instance_cost(n, universe))
+    # a map sample's smallest unit is a domain and a codomain table under all n**n assignments
+    fcount = n**n if isinstance(universe, tuple) else 1
+    smallest = _instance_cost(n, universe) * fcount
+    if budget < smallest:
+        raise InvalidSweepArgument(
+            f"budget {budget} affords no sample at n = {n}: the smallest costs {smallest}"
+        )
+    affordable = budget // _instance_cost(n, universe)
     if isinstance(universe, tuple):  # the maps from one class to another
         cls_x, cls_y = universe
-        fcount = n**n
         exhaustive = (
             n <= _STREAM_MAX_N
             and ("all" not in universe or n <= 2)
@@ -573,7 +561,7 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
         if exhaustive:
             ty = np.concatenate([load() for load in chunk_loaders(n, cls_y)])
         else:
-            side = max(1, min(MAP_SAMPLE_CAP, math.isqrt(affordable // fcount)))
+            side = min(MAP_SAMPLE_CAP, math.isqrt(affordable // fcount))
             tx = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
             ty = sample_tables(n, cls_y, side, seed + 101 * gi + 3)
         chunk = max(1, _CHUNK // (ty.shape[0] * fcount))
@@ -605,19 +593,19 @@ def verify_claim(
     n: int,
     budget: int = DEFAULT_EVAL_BUDGET,
     seed: int = 0,
-    workers: int = 1,
 ) -> VerificationReport:
     """Sweep one catalog claim over its universe at carrier size n.
 
     The implications are swept in groups, one per universe, each as
-    :func:`_plan` decides.  The report keeps the witnesses of the first
-    VIOLATION_CAP violations in sweep order, sorted canonically.  Raises
-    InvalidSweepArgument when n, budget or workers is below 1 or seed below
-    0, before anything is swept.
+    :func:`_plan` decides, one chunk at a time on the calling thread.  The
+    report keeps the witnesses of the first VIOLATION_CAP violations in
+    sweep order, sorted canonically.  Raises InvalidSweepArgument when n or
+    budget is below 1 or seed below 0, before anything is swept, and when
+    :func:`_plan` finds that the budget affords no sample of a group.
     """
     if claim_id not in CATALOG:
         raise UnknownClaim(f"unknown claim id: {claim_id!r}")
-    _require_at_least(1, n=n, budget=budget, workers=workers)
+    _require_at_least(1, n=n, budget=budget)
     _require_at_least(0, seed=seed)
     claim = CATALOG[claim_id]
     start = time.perf_counter()
@@ -627,7 +615,12 @@ def verify_claim(
         groups.setdefault(impl.universe, []).append(impl)
     for gi, impls in enumerate(groups.values()):
         loaders, evaluate, exhaustive = _plan(n, impls, budget, seed, gi)
-        _sweep(report, loaders, evaluate, workers, exhaustive)
+        results = _run_ordered(loaders, lambda load: evaluate(load()), 1)
+        for checked, total, rows, witness in results:
+            report.instances_checked += checked
+            report.total_violations += total
+            report.violations.extend(map(witness, rows[: VIOLATION_CAP - len(report.violations)]))
+        report.exhaustive = report.exhaustive and exhaustive
     report.violations.sort(key=_canonical_key)
     report.elapsed = time.perf_counter() - start
     return report
@@ -642,7 +635,6 @@ def hunt_counterexample(
     claim_id: str,
     n_max: int = 2,
     budget: int = DEFAULT_EVAL_BUDGET,
-    seed: int = 0,
 ) -> dict | None:
     """Search exhaustively, smallest carriers first, for a witness violating
     the negative claim ``claim_id``: an instance of class 'all' (a space,
@@ -653,9 +645,8 @@ def hunt_counterexample(
 
     The witness is minimal for the documented order: carrier sizes ascending
     (for maps, by nx+ny then nx), then lexicographic domain table, codomain
-    table, and assignment.  ``seed`` is accepted for interface symmetry with
-    verify_claim; the scan itself is deterministic.  Raises
-    InvalidSweepArgument when n_max is below 1 or budget below 0, and
+    table, and assignment; the scan is deterministic, so it takes no seed.
+    Raises InvalidSweepArgument when n_max is below 1 or budget below 0, and
     UniverseTooLarge when n_max exceeds SAMPLE_MAX_N, whose tables the
     decoder cannot number, before any class is counted.
 

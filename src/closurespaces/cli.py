@@ -2,10 +2,15 @@
 
 Exit codes: 0 success, 1 claim violations or failed reconstruction
 conditions, 2 malformed input, unknown claim/universe, a sweep argument
-below 1, a negative seed or hunt budget, or a carrier size beyond the
-sampler (verify) or above 4 (hunt), 3 hunt exhausted its budget without a
-witness.  Stdout is byte-stable for fixed inputs and flags; timing chatter
-goes to stderr and is silenced by --quiet.
+below 1, a verify budget that affords no sample, a negative seed (verify
+or hunt) or hunt budget, or a carrier size beyond the sampler (verify) or
+above 4 (hunt), 3 hunt exhausted its budget without a witness.  Stdout is
+byte-stable for fixed inputs and flags; timing chatter goes to stderr and
+is silenced by --quiet.
+
+``verify --workers`` and ``hunt --seed`` are range-checked and otherwise
+ignored: every sweep runs one chunk at a time on one thread, and the hunt
+is a deterministic scan.  They stay because existing callers pass them.
 """
 
 from __future__ import annotations
@@ -90,9 +95,8 @@ def _cmd_map_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = claims.verify_claim(
-        args.claim, args.n, budget=args.budget, seed=args.seed, workers=args.workers
-    )
+    claims._require_at_least(1, workers=args.workers)
+    report = claims.verify_claim(args.claim, args.n, budget=args.budget, seed=args.seed)
     print(report.summary())
     for doc in report.violations:
         print(json.dumps(doc, sort_keys=True))
@@ -102,9 +106,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    witness = claims.hunt_counterexample(
-        args.claim, n_max=args.n, budget=args.budget, seed=args.seed
-    )
+    claims._require_at_least(0, seed=args.seed)
+    witness = claims.hunt_counterexample(args.claim, n_max=args.n, budget=args.budget)
     if witness is None:
         if not args.quiet:
             print("no witness found within budget", file=sys.stderr)
@@ -149,14 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int, help="carrier size")
     p.add_argument("--budget", type=int, default=claims.DEFAULT_EVAL_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="at least 1, then ignored")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", help="search for a counterexample to an omitted converse")
     p.add_argument("--claim", required=True, help="negative claim id")
     p.add_argument("--n", required=True, type=int, help="largest carrier size to scan")
     p.add_argument("--budget", type=int, default=claims.DEFAULT_EVAL_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="at least 0, then ignored")
     p.add_argument("-o", "--output", help="write the witness here instead of stdout")
     p.set_defaults(func=_cmd_hunt)
 

@@ -177,18 +177,9 @@ def test_iff_claims_count_each_mismatching_table_once(monkeypatch, claim_id):
     assert report.summary() == f"claim={claim_id} n=2 checked=52 violations=26 exhaustive=true"
 
 
-def test_worker_count_does_not_change_reports():
-    for claim_id in ("cor-r0", "thm-cp-implies-ns", "thm-reconstruct"):
-        solo = cs.verify_claim(claim_id, 2, workers=1)
-        quad = cs.verify_claim(claim_id, 2, workers=4)
-        assert solo.instances_checked == quad.instances_checked
-        assert solo.total_violations == quad.total_violations
-        assert solo.violations == quad.violations
-        assert solo.exhaustive == quad.exhaustive
-
-
-def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
-    # 16-table chunks split the 256 tables at n = 2 into 16 jobs
+def test_multi_chunk_sweep_merges_counts_and_caps_witnesses(monkeypatch):
+    # 16-table chunks split the 256 tables at n = 2 into 16 jobs, whose
+    # counts add up and whose witnesses stop at the cap
     bogus = claims.Claim(
         "bogus-all-grounded",
         "every space is grounded (false)",
@@ -198,48 +189,15 @@ def test_multi_chunk_reports_do_not_depend_on_worker_count(monkeypatch):
     monkeypatch.setattr(claims, "_CHUNK", 16)
     loaders, _, exhaustive = claims._plan(2, bogus.implications, 256 * 4**2, 0, 0)
     assert len(loaders) == 16 and exhaustive
-    solo = cs.verify_claim(bogus.id, 2, workers=1)
-    trio = cs.verify_claim(bogus.id, 2, workers=3)
-    assert solo.summary() == trio.summary()
-    assert solo.summary() == "claim=bogus-all-grounded n=2 checked=256 violations=192 exhaustive=true"
-    assert solo.violations == trio.violations
-    assert len(solo.violations) == claims.VIOLATION_CAP
-
-
-def test_worker_count_is_clamped_to_the_cores(monkeypatch):
-    # the executor starts a thread per job while none is idle, so 100,000
-    # workers would start one per chunk; the fake pool starts none
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(claims, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(claims, "_CHUNK", 16)
-    solo = cs.verify_claim("cor-r0", 2, workers=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    many = cs.verify_claim("cor-r0", 2, workers=100_000)
-    assert pools == [3]
-    assert many.summary() == solo.summary()
-    # a core count the platform cannot tell runs the jobs serially
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert claims._run_ordered([1, 2, 3], lambda j: j * j, 100_000) == [1, 4, 9]
-    assert pools == [3]
+    report = cs.verify_claim(bogus.id, 2)
+    assert report.summary() == "claim=bogus-all-grounded n=2 checked=256 violations=192 exhaustive=true"
+    assert len(report.violations) == claims.VIOLATION_CAP
 
 
 def test_all_tables_sweep_at_n3_peak_rss_stays_under_200_mb():
     # the 16,777,216 tables take 1 GB as int64; the sweep decodes them one
-    # chunk per pool thread, so its peak memory must not grow with them.
+    # chunk at a time, so its peak memory must not grow with them.  The call
+    # is the benchmark's, whose --workers the CLI ignores.
     # ru_maxrss is in KiB on Linux and in bytes on macOS.
     code = (
         "import resource, sys\n"
@@ -296,7 +254,7 @@ def test_false_map_claim_reports_violations(monkeypatch):
         (claims.Implication(("all", "all"), (), ("continuous",)),),
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
-    report = cs.verify_claim("bogus-all-cont", 1, workers=2)
+    report = cs.verify_claim("bogus-all-cont", 1)
     assert report.instances_checked == 16
     assert report.total_violations > 0
     for w in report.violations[:3]:
@@ -400,7 +358,7 @@ def test_witness_list_does_not_depend_on_chunk_size(monkeypatch):
         default = cs.verify_claim(bogus.id, 2)
         with monkeypatch.context() as m:
             m.setattr(claims, "_CHUNK", 16)
-            small = cs.verify_claim(bogus.id, 2, workers=2)
+            small = cs.verify_claim(bogus.id, 2)
         assert default.total_violations > claims.VIOLATION_CAP
         assert small.summary() == default.summary()
         assert small.violations == default.violations

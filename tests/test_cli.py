@@ -226,6 +226,61 @@ def test_out_of_range_sweep_arguments_exit_2(argv, capsys):
     assert "must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, smallest",
+    [
+        (["cor-r0", "--n", "3", "--budget", "1"], 64),
+        (["thm-reconstruct", "--n", "3", "--budget", "1"], 512),
+        (["thm-reconstruct", "--n", "4", "--budget", "1000"], 4096),
+        (["thm-cp-cont", "--n", "3", "--budget", "1000"], 1728),
+        (["cor-ns-iff-cont", "--n", "4", "--budget", "1000"], 65536),
+    ],
+)
+def test_budget_that_affords_no_sample_exits_2(argv, smallest, capsys):
+    # one table or relation, or for maps one table per side under all n**n
+    # assignments; a budget below that must not report a sampled sweep
+    assert main(["--quiet", "verify", "--claim", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"affords no sample at n = {argv[2]}: the smallest costs {smallest}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, checked",
+    [
+        (["cor-r0", "--n", "3", "--budget", "64"], 1),
+        (["thm-cp-cont", "--n", "3", "--budget", "1728"], 54),
+        (["thm-reconstruct", "--n", "4", "--budget", "4096"], 1),
+        (["cor-ns-iff-cont", "--n", "4", "--budget", "65536"], 256),
+    ],
+)
+def test_budget_that_affords_the_smallest_sample_sweeps_it(argv, checked, capsys):
+    assert main(["--quiet", "verify", "--claim", *argv]) == 0
+    assert capsys.readouterr().out == (
+        f"claim={argv[0]} n={argv[2]} checked={checked} violations=0 exhaustive=false\n"
+    )
+
+
+def test_verify_workers_flag_does_not_change_stdout(monkeypatch, capsys):
+    # 16 chunks at n = 2 and far more than VIOLATION_CAP violations: the
+    # flag is accepted and ignored, so the witness list cannot move
+    bogus = claims.Claim(
+        "bogus-all-grounded",
+        "every space is grounded (false)",
+        (claims.Implication("all", (), ("grounded",)),),
+    )
+    monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
+    monkeypatch.setattr(claims, "_CHUNK", 16)
+    outputs = []
+    for workers in ("1", "3"):
+        argv = ["--quiet", "verify", "--claim", bogus.id, "--n", "2", "--workers", workers]
+        assert main(argv) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("claim=bogus-all-grounded n=2 checked=256 violations=192 ")
+    assert outputs[0].count("\n") == 1 + claims.VIOLATION_CAP
+
+
 @pytest.mark.parametrize("claim_id", ["neg-pws-not-extsep", "neg-cont-not-cp"])
 def test_negative_hunt_budget_exits_2(claim_id, capsys):
     assert main(["--quiet", "hunt", "--claim", claim_id, "--n", "2", "--budget", "-1"]) == 2
@@ -237,15 +292,17 @@ def test_negative_hunt_budget_exits_2(claim_id, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cor-r0", "--n", "2", "--seed", "-1"],
-        ["cor-r0", "--n", "3", "--seed", "-1"],
-        ["thm-reconstruct", "--n", "3", "--seed", "-1"],
-        ["thm-cp-cont", "--n", "3", "--seed", "-3"],
+        ["verify", "--claim", "cor-r0", "--n", "2", "--seed", "-1"],
+        ["verify", "--claim", "cor-r0", "--n", "3", "--seed", "-1"],
+        ["verify", "--claim", "thm-reconstruct", "--n", "3", "--seed", "-1"],
+        ["verify", "--claim", "thm-cp-cont", "--n", "3", "--seed", "-3"],
+        ["hunt", "--claim", "neg-pws-not-extsep", "--n", "2", "--seed", "-5"],
     ],
 )
 def test_negative_seed_exits_2(argv, capsys):
-    # exhaustive or sampled, the seed is refused before any sweep
-    assert main(["--quiet", "verify", "--claim", *argv]) == 2
+    # exhaustive or sampled, the seed is refused before any sweep, and the
+    # hunt, whose scan ignores the seed, refuses it too
+    assert main(["--quiet", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"seed must be at least 0, got {argv[-1]}" in captured.err
