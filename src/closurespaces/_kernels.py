@@ -6,9 +6,13 @@ loops run only over subsets and points, whose number depends on n alone.
 ``python3 perfbench/run.py`` times the kernels inside the sweeps that use
 them.
 
-Tables arrive as int64 arrays of shape (count, 2**n); flag outputs are bool
-with one row per instance.  Kernels are pure: they never write their
-inputs.
+Tables arrive as int64 arrays of shape (count, 2**n) in column-major
+memory, the one layout of every table and separation-row array the package
+builds (``_separation_rows`` writes it too): each subset's column
+``t[:, a]``, which the kernels read one at a time, is contiguous.  A kernel
+never reorders its input; a row-major one gives the same flags, only more
+slowly.  Flag outputs are bool with one row per instance.  Kernels are
+pure: they never write their inputs.
 
 The relation kernels hold separated pairs in the row format of
 ``separation.SeparationRelation``: an int64 array of shape (count, 2**n)
@@ -121,7 +125,7 @@ def _symmetry_flags(tables, n):
     size = 1 << n
     # cols[a]: cl(a) for every table, one contiguous row per subset, in the
     # narrowest dtype that holds a mask (uint8 up to n = 8)
-    cols = tables.T.astype(np.min_scalar_type(size - 1), order="C")
+    cols = tables.T.astype(np.min_scalar_type(size - 1))
 
     # inter[x]: the intersection of cl(A) over every A that contains x.
     # * r0.  A neighborhood N of y misses x exactly when y is not in cl(A)
@@ -174,11 +178,11 @@ def _separation_rows(tables, n):
     # apart[s, a]: the AND of z[x] over the points x of a.  The subsets whose
     # highest point is x are the subsets of the lower points, each plus x, so
     # one slice per point fills them
-    apart = np.empty(tables.shape, np.int64)
+    apart = np.empty(tables.shape, np.int64, order="F")
     apart[:, 0] = -1
     for x in range(n):
         np.bitwise_and(apart[:, : 1 << x], z[x][:, None], out=apart[:, 1 << x : 2 << x])
-    return _disjoint_words(n)[tables] & apart
+    return np.bitwise_and(apart, _disjoint_words(n)[tables], out=apart)
 
 
 def _neighbourhoods(rows, n):
@@ -214,9 +218,10 @@ def _criteria_flags(tables, n):
 
     # the sufficiency condition: b inside nb[a] forces nb[b] inside nb[a].
     # g[m], the union of nb[b] over every b ⊆ m, must then lie inside m = nb[a].
-    # One OR per point builds g; masks are narrowed to uint8 words
+    # One OR per point builds g; the reshape splits only the subset axis, so
+    # it is a view of g in any layout.  Masks are narrowed to uint8 words
     nb = nb.astype(np.min_scalar_type(size - 1))
-    g = nb.copy()
+    g = nb.copy(order="F")
     for x in range(n):
         halves = g.reshape(count, size >> (x + 1), 2, 1 << x)
         halves[:, :, 1] |= halves[:, :, 0]

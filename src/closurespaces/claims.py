@@ -507,14 +507,13 @@ def _relation_sample(n: int, count: int, seed: int) -> np.ndarray:
     size = 1 << n
     spaces = sample_tables(n, "isotonic_pointwise_symmetric", (count + 1) // 2, seed)
     derived = _kernels._separation_rows(spaces, n)
-    flipped = derived[: count // 2].copy()
+    rows = np.empty((count, size), np.int64, order="F")
+    rows[0::2], rows[1::2] = derived, derived[: count // 2]
     flips = np.random.default_rng(seed).integers(0, size * (size + 1) // 2, size=count // 2)
     a, b = (side[flips] for side in np.triu_indices(size))
-    i = np.arange(count // 2)
-    flipped[i, a] ^= 1 << b
-    flipped[i, b] ^= (a != b) << a  # the pair {a, a} is one bit
-    rows = np.empty((count, size), np.int64)
-    rows[0::2], rows[1::2] = derived, flipped
+    i = np.arange(1, count, 2)  # the copies
+    rows[i, a] ^= 1 << b
+    rows[i, b] ^= (a != b) << a  # the pair {a, a} is one bit
     return rows
 
 

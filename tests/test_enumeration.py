@@ -5,7 +5,7 @@ import pytest
 
 import closurespaces as cs
 import oracles
-from closurespaces import _kernels, enumeration
+from closurespaces import _kernels, claims, enumeration
 
 
 def _stream(n, cls):
@@ -126,6 +126,44 @@ def test_chunk_size_is_keyword_only():
         with pytest.raises(TypeError):
             list(stream(2, "all", 200_000))
     assert len(enumeration.chunk_loaders(2, "all", chunk_size=100)) == 3
+
+
+@pytest.mark.parametrize("cls", ["isotonic", "isotonic_pointwise_symmetric", "exterior_separated"])
+def test_generated_streams_are_in_lexsort_order(cls):
+    # the one-key sort orders each stream as a sort by every entry, entry
+    # for subset 0 most significant
+    for n in (1, 2, 3):
+        rows = np.concatenate([load() for load in enumeration.chunk_loaders(n, cls)])
+        assert np.array_equal(rows, rows[np.lexsort(rows.T[::-1])])
+
+
+def _column_major(a, n):
+    # each subset's column is contiguous, in the logical (count, 2**n) shape
+    return a.ndim == 2 and a.shape[1] == 1 << n and a.strides[0] == a.itemsize
+
+
+def test_every_producer_is_column_major(monkeypatch):
+    for n in (1, 2, 3):
+        for cls in cs.CLASSES:
+            for load in enumeration.chunk_loaders(n, cls, chunk_size=1000):
+                assert _column_major(load(), n), (n, cls)
+    for n in (1, 2, 3, 4):
+        for cls in cs.CLASSES:
+            tables = enumeration.sample_tables(n, cls, 50, seed=n)
+            assert _column_major(tables, n), (n, cls)
+            assert _column_major(_kernels._separation_rows(tables, n), n), (n, cls)
+    for n in (3, 4):
+        assert _column_major(claims._relation_sample(n, 51, seed=0), n)
+    # the relation rows and the map codomain that the plan builds at n <= 2
+    codomains = []
+    monkeypatch.setattr(claims, "_map_block", lambda nx, ny, ty, impls: codomains.append(ty))
+    impls = claims.CATALOG["thm-reconstruct"].implications + claims.CATALOG["thm-cp-cont"].implications
+    for n in (1, 2):
+        for impl in impls:  # the relations, and codomain classes isotonic and 'all'
+            loaders, _, exhaustive = claims._plan(n, [impl], 10**8, 0, 0)
+            assert exhaustive
+            built = loaders[0]() if impl.universe == "relations" else codomains[-1]
+            assert _column_major(built, n), (n, impl.universe)
 
 
 def test_unknown_class():
