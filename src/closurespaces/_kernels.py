@@ -14,6 +14,16 @@ never reorders its input; a row-major one gives the same flags, only more
 slowly.  Flag outputs are bool with one row per instance.  Kernels are
 pure: they never write their inputs.
 
+``symmetry_flags`` works on byte lanes (broadword code, Knuth, TAOCP 4A
+§7.1.3).  It copies the columns once into uint8 and views them as uint64,
+so each word holds eight tables, one byte each, and every later step is a
+bitwise operation or a right shift by y < n <= 8.  Only bit 0 of a lane is
+read at the end, and after a shift by y it is bit y of the same lane, so
+tables never mix.  Pointwise symmetry and r0 each say that an n x n bit
+matrix is symmetric, so they test each pair x < y once, with one XOR;
+exterior separation, the first matrix inside the transpose of the second,
+tests all n**2 ordered pairs.  A byte holds masks of at most 8 points.
+
 The relation kernels hold separated pairs in the row format of
 ``separation.SeparationRelation``: an int64 array of shape (count, 2**n)
 whose bit b of ``rows[s, a]`` is set iff subsets a and b are separated in
@@ -49,6 +59,8 @@ one broadcast AND.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -122,12 +134,19 @@ def _isotonic_all_pairs(tables, n):
 
 
 def _symmetry_flags(tables, n):
-    size = 1 << n
-    # cols[a]: cl(a) for every table, one contiguous row per subset, in the
-    # narrowest dtype that holds a mask (uint8 up to n = 8)
-    cols = tables.T.astype(np.min_scalar_type(size - 1))
+    if n > 8:
+        raise ValueError(f"a mask of {n} points does not fit a byte lane")
+    count, size = tables.shape
+    # cols[a]: cl(a) of eight tables per uint64 word, one byte lane each,
+    # zero-padded to whole words.  Only bit 0 of a lane is read at the end,
+    # and after a right shift by y < 8 it is bit y of the same lane, on
+    # either byte order, so tables never mix
+    lanes = np.zeros((size, -(-count // 8) * 8), np.uint8)
+    lanes[:, :count] = tables.T
+    cols = lanes.view(np.uint64)
 
-    # inter[x]: the intersection of cl(A) over every A that contains x.
+    # out[x]: the complement of inter[x], the intersection of cl(A) over
+    # every A that contains x.
     # * r0.  A neighborhood N of y misses x exactly when y is not in cl(A)
     #   for A = X \ N, a set that contains x.  So x lies in every
     #   neighborhood of y iff y is in inter[x], and r0 reads:
@@ -135,20 +154,29 @@ def _symmetry_flags(tables, n):
     # * Exterior separation: x not in cl(A) => cl({x}) and A are disjoint,
     #   for every A.  cl({x}) meets A exactly when some y in A lies in
     #   cl({x}), so it reads: y in cl({x}) => x in inter[y].
-    inter = [
-        np.bitwise_and.reduce(cols[[a for a in range(size) if a >> x & 1]], axis=0)
+    out = [
+        ~functools.reduce(np.bitwise_and, (cols[a] for a in range(size) if a >> x & 1))
         for x in range(n)
     ]
 
-    # bit 0 of bad[k] is set once some pair (x, y) fails property k
-    bad = np.zeros((3, tables.shape[0]), cols.dtype)
+    # near[x][y] and far[x][y]: cl({x}) and out[x] shifted right by y, each
+    # copy built once; the shift operands stay uint64 for numpy 1.24
+    ys = np.arange(n, dtype=np.uint64)
+    near = [[cols[1 << x] >> y if y else cols[1 << x] for y in ys] for x in range(n)]
+    far = [[w >> y if y else w for y in ys] for w in out]
+
+    # bit 0 of bad[k] is set once some pair (x, y) fails property k.
+    # Pointwise symmetry and r0 say that the bit matrices [y in cl({x})]
+    # and [y in inter[x]] are symmetric, so they take one XOR per pair
+    # x < y; exterior separation takes every ordered pair
+    bad = np.zeros((3, cols.shape[1]), np.uint64)
     for x in range(n):
-        cx = cols[1 << x]
         for y in range(n):
-            bad[0] |= (cx >> y) & ~(cols[1 << y] >> x)
-            bad[1] |= (inter[x] >> y) & ~(inter[y] >> x)
-            bad[2] |= (cx >> y) & ~(inter[y] >> x)
-    return ((bad & 1) == 0).T
+            bad[2] |= near[x][y] & far[y][x]
+            if x < y:
+                bad[0] |= near[x][y] ^ near[y][x]
+                bad[1] |= far[x][y] ^ far[y][x]
+    return ((bad.view(np.uint8)[:, :count] & 1) == 0).T
 
 
 def _pack(fields, xs, nx, dtype):

@@ -108,8 +108,8 @@ def _flags_in_either_layout(name, x, n):
 @pytest.mark.parametrize(
     "n,name",
     [(n, name) for n in (1, 2, 3) for name in sorted(SPACE_ORACLES)]
-    # separation rows use bits up to 15 at n = 4; the symmetry kernel
-    # narrows tables to uint8 words
+    # separation rows use bits up to 15 at n = 4; the symmetry kernel packs
+    # eight tables into each uint64 word, one byte lane per table
     + [(4, "criteria_flags"), (4, "formula_flags"), (4, "roundtrip_flags"), (4, "symmetry_flags")],
 )
 def test_space_kernel_matches_oracle(n, name):
@@ -156,6 +156,48 @@ def test_space_kernel_takes_an_empty_batch(name):
 def test_separation_rows_refuse_more_than_64_bits():
     with pytest.raises(ValueError, match="does not fit"):
         _kernels._separation_rows(np.zeros((1, 1 << 7), np.int64), 7)
+
+
+def test_symmetry_flags_refuse_more_than_8_points():
+    # a byte lane holds masks of at most 8 points
+    with pytest.raises(ValueError, match="does not fit a byte lane"):
+        _kernels.kernel("symmetry_flags")(np.zeros((1, 1 << 9), np.int64), 9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symmetry_lanes_never_mix(n):
+    # a table's flags must not depend on which tables share its uint64 word
+    # or on the padding lanes of the last word: slices of 1, 7, 8 and 9 rows
+    # start at every offset within a word
+    tables = _universe(n)
+    if n == 4:
+        tables = np.concatenate([tables, _near(4, _N4_CLASSES["symmetry_flags"], 20)])
+    whole = _flags_in_either_layout("symmetry_flags", tables, n)
+    pieces = np.split(tables, np.cumsum([1, 7, 8, 9]))
+    sliced = np.concatenate([_flags_in_either_layout("symmetry_flags", p, n) for p in pieces])
+    assert np.array_equal(sliced, whole)
+
+
+def test_symmetry_flags_over_all_n3_tables():
+    # the all-tables sweep's chunks against the generators: exterior
+    # separation holds exactly on the table numbers of extsep_tables(3), and
+    # pointwise symmetry on 8**5 * 2**6 tables: the closures of the five
+    # subsets that are not singletons are free, and the singleton closures
+    # must form a symmetric bit matrix, whose 3 diagonal bits and 3 pairs
+    # off the diagonal are free
+    n, size, chunk = 3, 8, 1 << 14
+    extsep, pws = [], 0
+    for start in range(0, size**size, chunk):
+        flags = _kernels.kernel("symmetry_flags")(
+            enumeration.all_tables_block(n, start, start + chunk), n
+        )
+        extsep.append(start + np.flatnonzero(flags[:, 2]))
+        pws += int(flags[:, 0].sum())
+    digits = n * np.arange(size - 1, -1, -1, dtype=np.int64)
+    numbers = (enumeration.extsep_tables(n) << digits).sum(axis=1)
+    assert numbers.size == 51040
+    assert np.array_equal(np.concatenate(extsep), np.sort(numbers))
+    assert pws == 8**5 * 2**6 == 2**21
 
 
 def _relations(n):
