@@ -4,11 +4,10 @@ Exhaustive streams are deterministic and lexicographic over table entries
 (entry for subset 0 most significant).  Every table array they and the
 samplers return has the logical shape (count, 2**n) in column-major memory,
 so each subset's column is contiguous; a row slice keeps that.  No class is
-found by filtering a larger universe.  Each isotonic class has one
+found by filtering a larger universe.  Each class but 'all' has one
 vectorized assembler, shared by its exhaustive stream, its seeded sampler
 and its count in :func:`class_size`; only the source of the parameters
-differs (every combination, or seeded draws).  The samplers of the other
-two classes draw entries directly (see below):
+differs (every combination, or seeded draws).  The four classes:
 
 * all: table m lists the base-2**n digits of m (:func:`all_tables_block`).
 * isotonic tables factor into one upward-closed family of subsets (up-set)
@@ -25,23 +24,13 @@ two classes draw entries directly (see below):
   masks of the entries that are not singletons.
 
 Both matrix-built classes keep one cached parts table per n (the matrices'
-parameters and table counts), which :func:`class_size` sums, and one decoder
-from table numbers, which finds the owning matrix through :func:`_runs`;
-their streams are the sorted decode of every number.
-
-The 'all' sampler draws every entry uniformly, and the isotonic sampler
-one pick per output bit.  The
-pointwise-symmetric sampler draws uniform table numbers, so it draws M with
-weight the number of its tables and then one uniform up-set per bit.  It
-replaced a rejection loop over isotonic samples: the distribution, uniform
-over the class, is the same, but a seed now selects different tables.  The
-exterior-separated sampler does not decode table numbers: it draws all
-matrix bits in one call and then all extra bits in one call, and keeps the
-extra bits that R leaves free.  So it draws R uniformly, not the table, and
-is far from uniform over the class: at n = 4 the matrix R = ∅ (every
-singleton closes to ∅) owns 96.9 % of the tables but gets 1/1024 of the
-draws, and the total-variation distance from uniform is 0.82 at n = 3 and
-0.994 at n = 4.
+parameters and table counts) and one decoder from table numbers, which
+finds the owning matrix through :func:`_runs`.  That decoder serves the
+class three ways: its stream is the sorted decode of every number, its
+sample the decode of uniform numbers, and its size, in :func:`class_size`,
+the sum of its run lengths.  So every sampler is uniform over its class: the
+'all' sampler draws every entry uniformly, the isotonic sampler one pick
+per output bit, and the matrix-built samplers uniform table numbers.
 
 All constructions are cross-checked against filter-based oracles in the
 test suite.
@@ -364,14 +353,8 @@ def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
         picks = rng.integers(0, len(fams), size=(count, n))
         return _isotonic_rows(fams, picks, n)
 
-    if cls == "isotonic_pointwise_symmetric":
-        return _pws_rows(rng.integers(0, class_size(n, cls), size=count), n)
-
-    # remaining class: exterior_separated
-    forced, free, _ = _extsep_parts(n)
-    m = rng.integers(0, _matrix_count(n), size=count)
-    extra = rng.integers(0, size, size=(count, size), dtype=np.int64)
-    return np.bitwise_or(forced[m], extra & free[m], order="F")
+    decode = _pws_rows if cls == "isotonic_pointwise_symmetric" else _extsep_rows
+    return decode(rng.integers(0, class_size(n, cls), size=count), n)
 
 
 def all_assignments(nx: int, ny: int) -> np.ndarray:

@@ -311,24 +311,41 @@ def isotonic_pointwise_symmetric_sample(n, count, seed):
 
 
 def exterior_separated_sample(n, count, seed):
-    """One symmetric relation R per table from the matrix bits (bit k fills
-    the k-th slot (x, y), x <= y), then one extra mask per entry: the entry
-    of {x} is R(x), and every other entry A is {x : R(x) meets A} plus the
-    extra mask drawn for A."""
+    """Uniform table numbers, decoded one table at a time.
+
+    The symmetric relations R are listed by their bits (bit k fills the k-th
+    slot (x, y), x <= y).  The entry of {x} is R(x), and every other entry A
+    holds {x : R(x) meets A} plus any of the elements left free; R owns 2**k
+    consecutive numbers, k being its count of free elements over all A.
+    Within its run, the bits of the remainder, least significant first, fill
+    the free elements entry by entry in subset order, each entry's from
+    element 0 up.
+    """
     slots = list(combinations_with_replacement(range(n), 2))
-    rng = np.random.default_rng(seed)
-    matrices = rng.integers(0, 1 << len(slots), size=count).tolist()
-    extras = rng.integers(0, 1 << n, size=(count, 1 << n), dtype=np.int64).tolist()
     singletons = {1 << x for x in range(n)}
-    tables = []
-    for bits, extra in zip(matrices, extras):
+    runs = []
+    for bits in range(1 << len(slots)):
         related = {(x, y) for k, (x, y) in enumerate(slots) if (bits >> k) & 1}
         related |= {(y, x) for x, y in related}
-        table = []
+        forced, free = [], []
         for a in range(1 << n):
             members = [y for y in range(n) if (a >> y) & 1]
-            forced = sum(1 << x for x in range(n) if any((x, y) in related for y in members))
-            table.append(forced if a in singletons else forced | extra[a])
+            mask = sum(1 << x for x in range(n) if any((x, y) in related for y in members))
+            forced.append(mask)
+            free.append([] if a in singletons else [x for x in range(n) if not (mask >> x) & 1])
+        runs.append((1 << sum(len(f) for f in free), forced, free))
+    total = sum(size for size, _, _ in runs)
+    tables = []
+    for number in np.random.default_rng(seed).integers(0, total, size=count).tolist():
+        for size, forced, free in runs:
+            if number < size:
+                break
+            number -= size
+        table = list(forced)
+        for a in range(1 << n):
+            for x in free[a]:
+                number, bit = divmod(number, 2)
+                table[a] |= bit << x
         tables.append(table)
     return tables
 

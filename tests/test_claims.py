@@ -65,6 +65,16 @@ def test_every_claim_holds_on_one_point_carriers(claim_id):
     assert report.instances_checked > 0
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("claim_id", sorted(cs.CATALOG))
+def test_every_claim_holds_at_n4(claim_id, seed):
+    # n = 4 is sampled for every claim at the default budget; the sample
+    # sizes are the planner's to choose, so only the verdict is pinned
+    report = cs.verify_claim(claim_id, 4, seed=seed)
+    assert report.total_violations == 0
+    assert report.instances_checked > 0
+
+
 def test_profile_consistency_claim():
     report = cs.verify_claim("axioms-equiv-check", 2)
     assert report.instances_checked == 256

@@ -290,21 +290,36 @@ def test_class_size_refuses_n5_before_building_the_up_sets(cls):
         cs.class_size(5, cls)
 
 
-@pytest.mark.parametrize("n,per_table", [(2, 2000), (3, 200)])
-def test_pointwise_symmetric_sampler_is_uniform(n, per_table):
-    # per_table draws per class member on average; a fixed seed, so the
-    # bound of 5 standard deviations sqrt(per_table) is a fixed outcome
-    tables = _stream(n, "isotonic_pointwise_symmetric")
-    assert len(tables) == {2: 18, 3: 1736}[n]
-    draws = enumeration.sample_tables(
-        n, "isotonic_pointwise_symmetric", len(tables) * per_table, seed=11
-    )
-    # a table's number in the lexicographic all-tables universe
-    size = 1 << n
-    weights = size ** np.arange(size - 1, -1, -1, dtype=np.int64)
-    seen, counts = np.unique(draws @ weights, return_counts=True)
-    assert seen.tolist() == (np.array(tables) @ weights).tolist()
-    assert np.abs(counts - per_table).max() <= 5 * per_table**0.5
+@pytest.mark.parametrize(
+    "cls,n,cells,draws",
+    [(cls, 2, "tables", 2000 * cs.class_size(2, cls)) for cls in cs.CLASSES]
+    + [
+        ("isotonic_pointwise_symmetric", 3, "tables", 200 * 1736),
+        ("exterior_separated", 3, "matrices", 200_000),
+    ],
+)
+def test_samplers_are_uniform(cls, n, cells, draws):
+    # every cell, a class member or a singleton matrix, gets its share of the
+    # draws within 5 binomial standard deviations; a fixed seed, so the bound
+    # is a fixed outcome
+    tables = enumeration.sample_tables(n, cls, draws, seed=11)
+    if cells == "tables":
+        # a table's number in the lexicographic all-tables universe
+        size = 1 << n
+        digits = size ** np.arange(size - 1, -1, -1, dtype=np.int64)
+        members = np.array(_stream(n, cls)) @ digits
+        seen, counts = np.unique(tables @ digits, return_counts=True)
+        assert seen.tolist() == members.tolist()
+        share = 1 / len(members)
+    else:
+        # a table's singleton rows as a matrix number: bit k fills the k-th
+        # slot (x, y), x <= y, the order in which _extsep_parts lists them
+        slots = itertools.combinations_with_replacement(range(n), 2)
+        number = sum(((tables[:, 1 << x] >> y) & 1) << k for k, (x, y) in enumerate(slots))
+        weights = enumeration._extsep_parts(n)[-1]
+        counts = np.bincount(number, minlength=len(weights))
+        share = weights / weights.sum()
+    assert np.all(np.abs(counts - draws * share) <= 5 * np.sqrt(draws * share * (1 - share)))
 
 
 def test_all_assignments_counts():
