@@ -290,13 +290,31 @@ def test_class_size_refuses_n5_before_building_the_up_sets(cls):
         cs.class_size(5, cls)
 
 
+@pytest.mark.parametrize("n,per_table", [(2, 2000), (3, 200)])
+def test_pointwise_symmetric_sampler_is_uniform(n, per_table):
+    # per_table draws per class member on average; a fixed seed, so the
+    # bound of 5 standard deviations sqrt(per_table) is a fixed outcome
+    tables = _stream(n, "isotonic_pointwise_symmetric")
+    assert len(tables) == {2: 18, 3: 1736}[n]
+    draws = enumeration.sample_tables(
+        n, "isotonic_pointwise_symmetric", len(tables) * per_table, seed=11
+    )
+    # a table's number in the lexicographic all-tables universe
+    size = 1 << n
+    weights = size ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    seen, counts = np.unique(draws @ weights, return_counts=True)
+    assert seen.tolist() == (np.array(tables) @ weights).tolist()
+    assert np.abs(counts - per_table).max() <= 5 * per_table**0.5
+
+
 @pytest.mark.parametrize(
     "cls,n,cells,draws",
-    [(cls, 2, "tables", 2000 * cs.class_size(2, cls)) for cls in cs.CLASSES]
-    + [
-        ("isotonic_pointwise_symmetric", 3, "tables", 200 * 1736),
-        ("exterior_separated", 3, "matrices", 200_000),
-    ],
+    [
+        (cls, 2, "tables", 2000 * cs.class_size(2, cls))
+        for cls in cs.CLASSES
+        if cls != "isotonic_pointwise_symmetric"
+    ]
+    + [("exterior_separated", 3, "matrices", 200_000)],
 )
 def test_samplers_are_uniform(cls, n, cells, draws):
     # every cell, a class member or a singleton matrix, gets its share of the
