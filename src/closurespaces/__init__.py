@@ -29,13 +29,10 @@ from .core import (
 from .separation import (
     ConditionReport,
     ConditionsViolated,
-    RelationCriteria,
     SeparationRelation,
     check_relation_conditions,
     closure_from_relation,
     make_relation,
-    relation_axiom_criteria,
-    roundtrip_ok,
     separated_pairs,
 )
 from .maps import (
@@ -81,7 +78,6 @@ __all__ = [
     "MapProfile",
     "MaskOutOfRange",
     "NEGATIVE_CATALOG",
-    "RelationCriteria",
     "SeparationRelation",
     "Space",
     "SpaceMap",
@@ -110,8 +106,6 @@ __all__ = [
     "map_profile",
     "preimage",
     "preimage_separation",
-    "relation_axiom_criteria",
-    "roundtrip_ok",
     "separated_pairs",
     "symmetry_profile",
     "verify_claim",

@@ -86,7 +86,7 @@ from .enumeration import (
     slice_loaders,
 )
 from .maps import MapProfile, make_map
-from .separation import RelationCriteria, SeparationRelation
+from .separation import SeparationRelation
 
 DEFAULT_EVAL_BUDGET = 10**8
 SAMPLE_CAP = 5000
@@ -195,7 +195,7 @@ CATALOG: dict[str, Claim] = {
         Claim(
             "thm-roundtrip",
             "isotonic pointwise-symmetric spaces survive the relation round-trip",
-            (Implication("isotonic_pointwise_symmetric", (), ("roundtrip_ok",)),),
+            (Implication("isotonic_pointwise_symmetric", (), ("roundtrip",)),),
         ),
         Claim(
             "thm-crit-grounded",
@@ -351,9 +351,9 @@ def _names(profile: type) -> tuple[str, ...]:
 _KERNEL_FLAGS = {
     "axiom_flags": _names(AxiomProfile),
     "symmetry_flags": _names(SymmetryProfile),
-    "criteria_flags": _names(RelationCriteria),
+    "criteria_flags": ("grounded_crit", "enlarging_crit", "sublinear_crit", "idempotent_sufficient"),
     "formula_flags": ("reconstruction_formula",),
-    "roundtrip_flags": ("roundtrip_ok",),
+    "roundtrip_flags": ("roundtrip",),
     "reconstruct_flags": (
         "reconstruction_conditions",
         "rebuilt_isotonic",
@@ -486,7 +486,10 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
 
 
 def _run_ordered(jobs: list, fn: Callable, workers: int) -> list:
-    # workers is unused: a thread pool measured no faster than one thread on any sweep
+    # workers is unused: a thread pool measured no faster than one thread on any sweep.
+    # As it stands the package does not need this runner, a plain loop would do; it
+    # stays because perfbench/spans.py wraps it by name to count chunk jobs, until the
+    # benchmark re-pin (ROADMAP item 1) removes the workers parameter and the wrapper
     return [fn(j) for j in jobs]
 
 

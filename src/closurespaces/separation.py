@@ -7,9 +7,10 @@ so the rows are symmetric.  A pair may relate a subset to itself (the pair
 Rows are Python integers of 2**n bits, so any carrier size fits; the batch
 kernels of ``_kernels`` use the same rows as int64 words.
 
-With this format the criteria are word operations (Knuth, TAOCP 4A §7.1.3):
-``nb[A]``, the points whose singleton is not related to A, is the closure of
-A that the relation determines, and the conditions compare rows and ``nb``.
+With this format the conditions are word operations (Knuth, TAOCP 4A
+§7.1.3): ``nb[A]``, the points whose singleton is not related to A, is the
+closure of A that the relation determines, and the conditions compare rows
+and ``nb``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class SeparationRelation:
             (a, b) for a, row in enumerate(self.rows) for b in range(a, size) if row >> b & 1
         )
 
+    # the package does not call contains: perfbench/spans.py wraps it to count
+    # relation lookups, and the benchmark re-pin (ROADMAP item 1) removes it
     def contains(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
 
@@ -153,50 +156,3 @@ def closure_from_relation(rel: SeparationRelation) -> Space:
     if not report.ok:
         raise ConditionsViolated(report)
     return make_space(rel.ground, _neighbourhoods(rel))
-
-
-@dataclass(frozen=True)
-class RelationCriteria:
-    """Relation-level counterparts of the closure axioms."""
-
-    grounded_crit: bool
-    enlarging_crit: bool
-    sublinear_crit: bool
-    idempotent_sufficient: bool
-
-
-def relation_axiom_criteria(rel: SeparationRelation) -> RelationCriteria:
-    """Evaluate the axiom criteria directly on the relation.
-
-    Grounded: every singleton is related to ∅, so nb[∅] = ∅.  Enlarging:
-    related pairs are disjoint.  Sub-linear: whatever is related to B and
-    to C is related to B ∪ C.  Idempotence sufficiency: B ⊆ nb[A] forces
-    nb[B] ⊆ nb[A].
-    """
-    rows = rel.rows
-    size = len(rows)
-    nb = _neighbourhoods(rel)
-
-    grounded_crit = nb[0] == 0
-    enlarging_crit = not any(
-        rows[a] >> b & 1 for a in range(size) for b in range(a, size) if a & b
-    )
-    sublinear_crit = not any(
-        rows[b] & rows[c] & ~rows[b | c] for b in range(size) for c in range(b, size)
-    )
-    idempotent_sufficient = not any(
-        nb[b] & ~nb[a] for a in range(size) for b in range(size) if not b & ~nb[a]
-    )
-
-    return RelationCriteria(grounded_crit, enlarging_crit, sublinear_crit, idempotent_sufficient)
-
-
-def roundtrip_ok(space: Space) -> bool:
-    """True iff reconstructing from the space's separated pairs reproduces
-    its table exactly."""
-    rel = separated_pairs(space)
-    try:
-        rebuilt = closure_from_relation(rel)
-    except ConditionsViolated:
-        return False
-    return rebuilt.table == space.table

@@ -1,11 +1,14 @@
+import itertools
 import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import closurespaces as cs
-from closurespaces import claims, enumeration, formats
+import oracles
+from closurespaces import _kernels, claims, enumeration, formats
 from closurespaces.cli import main
 
 D2 = cs.make_space(cs.ground(2), [0, 1, 2, 3])
@@ -355,3 +358,86 @@ def test_space_claim_beyond_enumeration_exits_2_before_counting(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "limited to n <= 4" in captured.err
+
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out.splitlines()
+
+
+# the oracles named after the lines of check and map-check, in line order
+_CHECK_ORACLES = (
+    "grounded",
+    "isotonic",
+    "enlarging",
+    "idempotent",
+    "sublinear",
+    "pointwise_symmetric",
+    "r0",
+    "exterior_separated",
+)
+_MAP_ORACLES = {
+    "closure_preserving": oracles.closure_preserving,
+    "continuous": oracles.continuous,
+    "nonseparating": oracles.nonseparating,
+    "preimage_separating": oracles.preimage_separation,
+}
+
+
+def test_single_object_commands_past_the_kernel_limits(tmp_path, capsys):
+    # the batch kernels refuse n = 7, so the one-object commands keep their
+    # own evaluators, checked here against the oracles
+    n = 7
+    g = cs.ground(n)
+    rng = np.random.default_rng(7)
+    discrete = cs.make_space(g, range(1 << n))
+    scrambled = cs.make_space(g, rng.integers(0, 1 << n, size=1 << n).tolist())
+    tables = np.array([discrete.table, scrambled.table])
+    with pytest.raises(ValueError):
+        _kernels._separation_rows(tables, n)
+    with pytest.raises(cs.UniverseTooLarge):
+        _kernels.build_map_tables(tables, np.zeros((1, n), dtype=np.int64), n, n)
+
+    for sp in (discrete, scrambled):
+        path = tmp_path / "space.json"
+        path.write_text(formats.serialize_space(sp))
+        universe, cl = oracles.from_space(sp)
+        want = [f"{name}={str(getattr(oracles, name)(universe, cl)).lower()}" for name in _CHECK_ORACLES]
+        assert _run(capsys, ["check", str(path)]) == (0, want)
+        code, lines = _run(capsys, ["separate", str(path)])
+        pairs = {
+            frozenset(frozenset(filter(None, side.strip("{}").split(","))) for side in line.split(" | "))
+            for line in lines
+        }
+        assert code == 0 and len(pairs) == len(lines)
+        assert pairs == oracles.separated_pairs(universe, cl)
+
+    rel = cs.separated_pairs(discrete)
+    path = tmp_path / "relation.json"
+    path.write_text(formats.serialize_relation(rel))
+    assert _run(capsys, ["derive", str(path)]) == (0, formats.serialize_space(discrete).splitlines())
+    # without {∅, ∅} both conditions fail
+    kept = rel.pairs - {(0, 0)}
+    path.write_text(formats.serialize_relation(cs.make_relation(g, kept)))
+    witness1, witness2 = oracles.first_witnesses(n, {frozenset(p) for p in kept})
+    assert witness1 is not None and witness2 is not None
+    texts = [tuple(formats.subset_to_text(g, m) for m in w) for w in (witness1, witness2)]
+    assert _run(capsys, ["derive", str(path)]) == (
+        1,
+        [
+            "condition1=false",
+            "condition2=false",
+            "witness1={%s} | {%s} | {%s}" % texts[0],
+            "witness2={%s} | {%s}" % texts[1],
+        ],
+    )
+
+    assignment = rng.integers(0, n, size=n).tolist()
+    for domain, codomain in itertools.product((discrete, scrambled), repeat=2):
+        mp = cs.make_map(domain, codomain, assignment)
+        path = tmp_path / "map.json"
+        path.write_text(formats.serialize_map(mp))
+        sides = oracles.from_map(mp)
+        want = [f"{name}={str(oracle(*sides)).lower()}" for name, oracle in _MAP_ORACLES.items()]
+        assert _run(capsys, ["map-check", str(path)]) == (0, want)

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -159,3 +161,14 @@ def test_operations_are_pure(sp):
     again = [cs.closure(sp, a) for a in range(sp.ground.size)]
     assert first == again
     assert cs.axiom_profile(sp) == cs.axiom_profile(sp)
+
+
+def test_exports_are_sorted_and_complete():
+    # every public name the package binds is exported, and nothing else
+    bound = {
+        name
+        for name, value in vars(cs).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert cs.__all__ == sorted(cs.__all__)
+    assert set(cs.__all__) == bound

@@ -291,7 +291,6 @@ def test_flag_kernels_match_library_exhaustively(n):
     g = cs.ground(n)
     ax = _kernels.kernel("axiom_flags")(tables, n)
     sym = _kernels.kernel("symmetry_flags")(tables, n)
-    rt = _kernels.kernel("roundtrip_flags")(tables, n)
     for i in range(tables.shape[0]):
         sp = cs.Space(g, tuple(int(v) for v in tables[i]))
         prof = cs.axiom_profile(sp)
@@ -307,23 +306,6 @@ def test_flag_kernels_match_library_exhaustively(n):
             s.pointwise_symmetric,
             s.r0,
             s.exterior_separated,
-        )
-        assert bool(rt[i]) == cs.roundtrip_ok(sp)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_criteria_kernel_matches_library_exhaustively(n):
-    tables = _universe(n)
-    g = cs.ground(n)
-    crit = _kernels.kernel("criteria_flags")(tables, n)
-    for i in range(tables.shape[0]):
-        sp = cs.Space(g, tuple(int(v) for v in tables[i]))
-        rc = cs.relation_axiom_criteria(cs.separated_pairs(sp))
-        assert tuple(bool(v) for v in crit[i]) == (
-            rc.grounded_crit,
-            rc.enlarging_crit,
-            rc.sublinear_crit,
-            rc.idempotent_sufficient,
         )
 
 

@@ -111,35 +111,6 @@ def test_reconstruction_matches_oracle_formula(d2):
         assert oracles.mask_to_set(rebuilt, rebuilt.table[mask]) == expected[subset]
 
 
-def test_relation_criteria_d2(d2):
-    crit = cs.relation_axiom_criteria(cs.separated_pairs(d2))
-    assert crit == cs.RelationCriteria(True, True, True, True)
-
-
-def test_relation_criteria_i2(i2):
-    crit = cs.relation_axiom_criteria(cs.separated_pairs(i2))
-    assert not crit.grounded_crit
-
-
-def test_relation_criteria_non_disjoint_pair(d2):
-    rel = cs.make_relation(d2.ground, [(A, A)])
-    assert not cs.relation_axiom_criteria(rel).enlarging_crit
-
-
-@given(spaces(max_n=2))
-def test_relation_criteria_match_oracle(sp):
-    rel = cs.separated_pairs(sp)
-    universe, _ = oracles.from_space(sp)
-    pairs = oracles.relation_pairs_from(sp, rel)
-    crit = cs.relation_axiom_criteria(rel)
-    assert (
-        crit.grounded_crit,
-        crit.enlarging_crit,
-        crit.sublinear_crit,
-        crit.idempotent_sufficient,
-    ) == oracles.criteria(universe, pairs)
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_every_relation_matches_oracles(n):
     # all 2**(number of pairs) relations: 8 at n = 1, 1024 at n = 2
@@ -159,13 +130,6 @@ def test_every_relation_matches_oracles(n):
         assert (report.condition1, report.condition2) == oracles.conditions(universe, pairs)
         witnesses = oracles.first_witnesses(n, {frozenset(p) for p in chosen})
         assert (report.witness1, report.witness2) == witnesses
-        crit = cs.relation_axiom_criteria(rel)
-        assert (
-            crit.grounded_crit,
-            crit.enlarging_crit,
-            crit.sublinear_crit,
-            crit.idempotent_sufficient,
-        ) == oracles.criteria(universe, pairs)
         if not report.ok:
             with pytest.raises(cs.ConditionsViolated):
                 cs.closure_from_relation(rel)
@@ -188,13 +152,19 @@ def test_separated_pairs_downward_closed_on_isotonic_spaces():
 
 
 def test_roundtrip_ok(d2, c2):
-    assert cs.roundtrip_ok(d2)
-    assert not cs.roundtrip_ok(c2)
+    assert cs.closure_from_relation(cs.separated_pairs(d2)) == d2
+    # c2 is not pointwise-symmetric, so its separated pairs fail the
+    # conditions or rebuild a different space
+    try:
+        rebuilt = cs.closure_from_relation(cs.separated_pairs(c2))
+    except cs.ConditionsViolated:
+        rebuilt = None
+    assert rebuilt != c2
 
 
 def test_roundtrip_holds_on_small_isotonic_pws_spaces():
     for sp in _class_spaces(2, "isotonic_pointwise_symmetric"):
-        assert cs.roundtrip_ok(sp)
+        assert cs.closure_from_relation(cs.separated_pairs(sp)) == sp
 
 
 @given(spaces(max_n=2), st.integers(0, 1023))
