@@ -64,7 +64,7 @@ import functools
 
 import numpy as np
 
-from .enumeration import UniverseTooLarge
+from .enumeration import UniverseTooLarge, _monotone
 
 # perfbench records these and fails any run whose backend is not numpy.
 BACKEND = "numpy"
@@ -72,18 +72,6 @@ HAVE_NUMBA = False
 
 # 2**6 = 64 bits, the width of an int64 separation row
 MAX_ROW_N = 6
-
-
-def _monotone(cols, n):
-    # cols[:, a ^ (1 << x)] ⊆ cols[:, a] for every a and every point x of a;
-    # dropping one point at a time reaches every subset, so these pairs say
-    # that cols[:, a] grows with a
-    ok = np.ones(cols.shape[0], bool)
-    for a in range(1 << n):
-        for x in range(n):
-            if a >> x & 1:
-                ok &= (cols[:, a ^ (1 << x)] & ~cols[:, a]) == 0
-    return ok
 
 
 def _incomparable_pairs(n):

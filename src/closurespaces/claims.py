@@ -43,13 +43,13 @@ report flags with exhaustive=false.
 Chunks of the universe are then evaluated one at a time, in order, on the
 calling thread, and merged in that order; a report keeps the first
 VIOLATION_CAP witnesses in sweep order, sorted canonically, so it is
-identical for any chunk size.  A chunk of class 'all' is decoded from its
-block of the lexicographic universe only when its turn comes, and a chunk
-of a cached or sampled universe is a slice of an array already in memory.
-A chunk's evaluation returns only its counts and one copy of the rows of
-its first VIOLATION_CAP violations, so at most one decoded chunk is in
-memory, whatever the universe; the merge formats only the witnesses the
-report keeps.
+identical for any chunk size.  A chunk of a space sweep over class 'all'
+is decoded from its block of the lexicographic universe only when its turn
+comes; every other chunk, a map sweep's domain chunks among them, is a
+slice of an array already in memory.  A chunk's evaluation returns only its
+counts and one copy of the rows of its first VIOLATION_CAP violations, so
+at most one decoded chunk of class 'all' is in memory, whatever the
+universe; the merge formats only the witnesses the report keeps.
 """
 
 from __future__ import annotations
@@ -438,8 +438,6 @@ def _space_block(n: int, witness: Callable, implications, tables: np.ndarray):
     def get(name: str) -> np.ndarray:
         if name == "profile_consistent":
             return _profile_consistent(tables, n)
-        if name not in _FLAG_COLUMNS:
-            raise UnknownClaim(f"unknown space predicate: {name!r}")
         kernel_name, column = _FLAG_COLUMNS[name]
         if kernel_name not in flags:
             out = _kernels.kernel(kernel_name)(tables, n)
@@ -469,8 +467,6 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
 
         def get(name: str) -> np.ndarray:
-            if name not in MAP_PREDICATES:
-                raise UnknownClaim(f"unknown map predicate: {name!r}")
             return out[..., MAP_PREDICATES[name]]
 
         total, (i, j, f) = _violations(out.shape[:3], get, implications)
@@ -523,17 +519,19 @@ def _relation_sample(n: int, count: int, seed: int) -> np.ndarray:
 def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
     """What the sweep of one group of implications covers, decided before
     any table is loaded: returns the chunk loaders, the block function and
-    whether the sweep is exhaustive.
+    whether the sweep is exhaustive.  A map group then loads its two sides
+    and builds the codomain's bound words.
 
     The group's universe is a table class, the relations, or the maps from a
     domain class to a codomain class.  It is swept whole when it streams
     (n <= 3 for a class, n <= 2 for the relations) and its size fits the
     budget at :func:`_instance_cost` per instance; otherwise a seeded sample
     is, of at most SAMPLE_CAP rows, or MAP_SAMPLE_CAP tables per map side.
-    A map sweep holds its codomain, and the codomain's bound words, in
-    memory, and plans one chunk loader per domain table once a domain table
-    stands for more than _CHUNK maps, so maps with class 'all' on either
-    side are swept whole only up to n = 2.
+    A map sweep holds both sides, whole or sampled, and the codomain's bound
+    words in memory (a whole side has at most 8,000 tables in the catalog:
+    the isotonic class at n = 3), and checks one domain table per chunk once
+    a domain table stands for more than _CHUNK maps, so maps with class
+    'all' on either side are swept whole only up to n = 2.
     Group ``gi`` samples with seed + gi, or seed + 101 gi + 2 and + 3 for
     the two map sides.  No other part of a verify sweep reads the budget.
     Raises InvalidSweepArgument when the budget cannot pay for the smallest
@@ -561,16 +559,13 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
             and class_size(n, cls_x) * class_size(n, cls_y) * fcount <= affordable
         )
         if exhaustive:
-            ty = np.concatenate([load() for load in chunk_loaders(n, cls_y)])
+            tx, ty = (np.concatenate([load() for load in chunk_loaders(n, c)]) for c in universe)
         else:
             side = min(MAP_SAMPLE_CAP, math.isqrt(affordable // fcount))
             tx = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
             ty = sample_tables(n, cls_y, side, seed + 101 * gi + 3)
         chunk = max(1, _CHUNK // (ty.shape[0] * fcount))
-        loaders = (
-            chunk_loaders(n, cls_x, chunk_size=chunk) if exhaustive else slice_loaders(tx, chunk)
-        )
-        return loaders, _map_block(n, n, ty, impls), exhaustive
+        return slice_loaders(tx, chunk), _map_block(n, n, ty, impls), exhaustive
     if universe == "relations":
         pairs = (1 << n) * ((1 << n) + 1) // 2  # the pairs (a, b) with a <= b
         exhaustive = n <= 2 and (1 << pairs) <= affordable
@@ -645,9 +640,13 @@ def hunt_counterexample(
     over class 'all', the universe the hunt scans.  Returns None if the
     budget runs out.
 
-    The witness is minimal for the documented order: carrier sizes ascending
-    (for maps, by nx+ny then nx), then lexicographic domain table, codomain
-    table, and assignment; the scan is deterministic, so it takes no seed.
+    The witness is the first the scan meets in the documented order:
+    carrier sizes ascending (for maps, by nx+ny then nx), then lexicographic
+    domain table, codomain table, and assignment; the scan is deterministic,
+    so it takes no seed.  It is minimal in that order only across the steps
+    the budget scans whole: a step that affords no table is skipped, and one
+    the rest of the budget cuts short is scanned only over its prefix, so
+    either may hold a smaller witness.
     Raises InvalidSweepArgument when n_max is below 1 or budget below 0, and
     UniverseTooLarge when n_max exceeds SAMPLE_MAX_N, whose tables the
     decoder cannot number, before any class is counted.
@@ -655,8 +654,7 @@ def hunt_counterexample(
     A map step holds every codomain table of its size pair and their bound
     words: at ny = 3 that is 1 GB of tables, and at (3, 3) 7.2 GB of words.
     The first ny = 3 step, (1, 3), is affordable once the budget exceeds
-    about 3.2e9.  Unlike the verify plan, the hunt cannot sample such a
-    step instead, since skipping it would break the minimal-witness order.
+    about 3.2e9.  Unlike the verify plan, the hunt never samples a step.
     """
     if claim_id not in NEGATIVE_CATALOG:
         raise UnknownClaim(f"unknown negative claim id: {claim_id!r}")

@@ -50,6 +50,47 @@ def test_catalog_ids_are_complete():
     }
 
 
+def _misplaced_predicates(catalog: dict) -> list:
+    # the (claim, predicate) pairs whose predicate the claim's universe does
+    # not evaluate: a map universe reads MAP_PREDICATES, the relations the
+    # reconstruct_flags columns, and a table class the other kernel columns
+    relation = set(claims._KERNEL_FLAGS["reconstruct_flags"])
+    table = set(claims._FLAG_COLUMNS) - relation | {"profile_consistent"}
+    misplaced = []
+    for claim in catalog.values():
+        for impl in claim.implications:
+            if isinstance(impl.universe, tuple):
+                assert set(impl.universe) <= set(cs.CLASSES), claim.id
+                allowed = set(claims.MAP_PREDICATES)
+            elif impl.universe == "relations":
+                allowed = relation
+            else:
+                assert impl.universe in cs.CLASSES, claim.id
+                allowed = table
+            names = impl.hypothesis + impl.conclusion
+            misplaced += [(claim.id, name) for name in names if name not in allowed]
+    return misplaced
+
+
+def test_every_catalog_predicate_belongs_to_its_universe():
+    # the sweeps look a predicate up without checking it, so the catalog is
+    # checked here, against the columns of the universe's own evaluator
+    assert _misplaced_predicates({**cs.CATALOG, **cs.NEGATIVE_CATALOG}) == []
+    # a relation predicate in a table claim, and a table predicate in a
+    # relation claim, both fail
+    isotonic = claims.Implication("isotonic", (), ("rebuilt_isotonic",))
+    relations = claims.Implication("relations", ("isotonic",), ("rebuilt_isotonic",))
+    edited = {
+        **cs.CATALOG,
+        "thm-roundtrip": claims.Claim("thm-roundtrip", "edited", (isotonic,)),
+        "thm-reconstruct": claims.Claim("thm-reconstruct", "edited", (relations,)),
+    }
+    assert _misplaced_predicates(edited) == [
+        ("thm-reconstruct", "isotonic"),
+        ("thm-roundtrip", "rebuilt_isotonic"),
+    ]
+
+
 def test_cor_r0_exhaustive_at_n2():
     report = cs.verify_claim("cor-r0", 2)
     assert report.instances_checked == 256
@@ -156,14 +197,24 @@ def test_map_sweep_onto_all_tables_at_n3_is_sampled_whatever_the_budget():
 
 def test_map_sweep_from_all_tables_at_n3_is_sampled_whatever_the_budget(monkeypatch):
     # the budget covers the 16,777,216 x 8,000 x 27 maps from class 'all' to
-    # the isotonic tables, but a domain table stands for more than _CHUNK
-    # maps, so the plan would list one chunk loader per domain table
+    # the isotonic tables, but the plan would hold the 1 GB domain in memory
+    # and check it one table per chunk, since a domain table stands for more
+    # than _CHUNK maps
     def loaders(*args, **kwargs):
         raise AssertionError("asked for a class universe")
 
     monkeypatch.setattr(claims, "chunk_loaders", loaders)
     report = cs.verify_claim("thm-cp-cont", 3, budget=3 * 10**14)
     assert report.summary() == "claim=thm-cp-cont n=3 checked=2160000 violations=0 exhaustive=false"
+
+
+def test_main_theorem_holds_on_its_whole_n3_universe():
+    # the paper's main theorem on all 8,000 x 1,736 x 27 maps: the one whole
+    # map sweep at n = 3, which checks its domain one table per chunk
+    report = cs.verify_claim("cor-ns-iff-cont", 3, budget=30_000_000_000)
+    assert report.summary() == (
+        "claim=cor-ns-iff-cont n=3 checked=374976000 violations=0 exhaustive=true"
+    )
 
 
 @pytest.mark.parametrize(
@@ -337,6 +388,23 @@ def test_map_hunt_checks_the_budget_before_building_a_codomain(monkeypatch):
 
     monkeypatch.setattr(claims, "all_tables_block", guarded)
     assert cs.hunt_counterexample("neg-ns-not-cont", n_max=3, budget=100) is None
+
+
+@pytest.mark.parametrize("claim_id", HUNT_IDS)
+def test_hunt_to_n3_at_the_default_budget_skips_what_it_cannot_afford(monkeypatch, claim_id):
+    # the default budget affords no table of the map step (1, 3), about
+    # 3.2e9, so the hunt decodes no n = 3 universe and returns the witness
+    # it finds at n <= 2, the golden one
+    real = claims.all_tables_block
+
+    def guarded(n, start, stop):
+        assert n < 3, "decoded an n = 3 universe"
+        return real(n, start, stop)
+
+    monkeypatch.setattr(claims, "all_tables_block", guarded)
+    witness = cs.hunt_counterexample(claim_id, n_max=3)
+    golden = Path(__file__).parent / "goldens" / f"{claim_id}.json"
+    assert json.dumps(witness, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
 def test_equivalence_theorem_witness_has_non_extsep_codomain():

@@ -44,7 +44,7 @@ def test_isotonic_count_n2_against_filter_oracle():
 
 def test_upset_families_counted_by_independent_filter():
     # up-closed families, found by the definition over explicit subset lists
-    for n, expected in [(1, 3), (2, 6), (3, 20)]:
+    for n, expected in [(1, 3), (2, 6), (3, 20), (4, 168)]:
         assert len(oracles.upset_families(n)) == expected
         assert list(enumeration.upset_families(n)) == oracles.upset_families(n)
 
