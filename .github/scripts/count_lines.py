@@ -1,15 +1,21 @@
 """Count the code lines of Python files: the lines that hold a token other
 than layout, less docstrings, comments and blank lines.
 
-Usage: python .github/scripts/count_lines.py src/closurespaces/*.py
+Usage: python .github/scripts/count_lines.py FILE...
+(the package count is of src/closurespaces/*.py)
 
-Prints one line per file, then the total.
+Prints one line per file, then the total.  Exits 2 with the usage line
+when given no file, or a path that is not a file.
 """
 
 import ast
+import os
 import sys
 import tokenize
 
+if len(sys.argv) < 2 or not all(map(os.path.isfile, sys.argv[1:])):
+    print("usage: python .github/scripts/count_lines.py FILE...", file=sys.stderr)
+    sys.exit(2)
 total = 0
 for path in sys.argv[1:]:
     with open(path, "rb") as f:

@@ -16,9 +16,11 @@ and relations, and the hunts: on a block of instances it counts the
 (instance, implication) pairs whose hypothesis holds and whose conclusions
 do not all hold, and names the instances of the first VIOLATION_CAP in
 sweep order (instance by instance, implications in catalog order).
-Predicate columns are bool, as the kernels return them.  Each block
-function returns the instances it checked, that count, the rows of those
-first violations and their witness formatter.  A verify sweep merges them in
+Predicate columns are bool, as the kernels return them.  One builder,
+:func:`_step`, sets up every sweep step, a verify group's or a hunt's: the
+block function, which returns the instances it checked, that count and the
+rows of those first violations; the universe's witness formatter; and the
+domain chunk size.  A verify sweep merges the block results in
 :func:`verify_claim`.  A hunt evaluates its negative claim's implication and
 runs one loop over size steps: n for a space claim, and (nx, ny)
 ordered by nx + ny, then nx, for a map claim, whose universe is a pair.
@@ -427,35 +429,43 @@ def _violations(shape: tuple, get: Callable, implications) -> tuple[int, tuple]:
     return int(np.count_nonzero(bad)), first
 
 
-def _space_block(n: int, witness: Callable, implications, tables: np.ndarray):
-    """:func:`_violations` over the rows of a block: tables, or separation
-    rows for the relation predicates, one instance each.  Returns the
-    instances checked, the violation count, a copy of the rows of the first
-    VIOLATION_CAP, and ``witness`` bound to n, which formats one of those
-    rows as a document."""
-    flags: dict[str, np.ndarray] = {}  # each kernel runs once per block
+def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple:
+    """Set up one sweep step over the universe of ``implications``: returns
+    the block function, the witness formatter and the domain chunk size.
 
-    def get(name: str) -> np.ndarray:
-        if name == "profile_consistent":
-            return _profile_consistent(tables, n)
-        kernel_name, column = _FLAG_COLUMNS[name]
-        if kernel_name not in flags:
-            out = _kernels.kernel(kernel_name)(tables, n)
-            flags[kernel_name] = out.reshape(tables.shape[0], -1)
-        return flags[kernel_name][:, column]
+    The block function runs :func:`_violations` over a block of instances
+    and returns the instances it checked, the violation count and a copy of
+    the rows of the first VIOLATION_CAP; the formatter makes a document of
+    one such row.
 
-    total, (i,) = _violations(tables.shape[:1], get, implications)
-    return tables.shape[0], total, tables[i], partial(witness, n)
-
-
-def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
-    """:func:`_violations` over the maps from a domain table block to the
-    codomain tables ``ty``, as a function of the block.
-
-    The instances are ordered by domain table, codomain table, then
-    assignment (lexicographic).  The bound words of ``ty`` are built once,
-    here, and every domain block is checked against them.
+    Over spaces or relations, at n = nx, the block's rows are tables or
+    separation rows, one instance each, and a chunk holds _CHUNK of them.
+    Over maps, a block is of domain tables at nx, and its instances are the
+    maps into the codomain tables ``ty`` at ny, ordered by domain table,
+    codomain table, then assignment (lexicographic); the bound words of
+    ``ty`` are built once, here, and a chunk holds the domain tables that
+    stand for at most _CHUNK maps, and at least one.
     """
+    universe = implications[0].universe
+    if not isinstance(universe, tuple):
+
+        def evaluate(tables: np.ndarray) -> tuple[int, int, np.ndarray]:
+            flags: dict[str, np.ndarray] = {}  # each kernel runs once per block
+
+            def get(name: str) -> np.ndarray:
+                if name == "profile_consistent":
+                    return _profile_consistent(tables, nx)
+                kernel_name, column = _FLAG_COLUMNS[name]
+                if kernel_name not in flags:
+                    out = _kernels.kernel(kernel_name)(tables, nx)
+                    flags[kernel_name] = out.reshape(tables.shape[0], -1)
+                return flags[kernel_name][:, column]
+
+            total, (i,) = _violations(tables.shape[:1], get, implications)
+            return tables.shape[0], total, tables[i]
+
+        witness = _relation_witness if universe == "relations" else _space_witness
+        return evaluate, partial(witness, nx), _CHUNK
     fmaps = all_assignments(nx, ny)
     # the builder's temporaries hold 2**max(nx, ny) int64 entries per word,
     # so it takes _CHUNK // len(fmaps) codomain tables at a time
@@ -463,7 +473,7 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
     bounds = np.concatenate([_kernels.build_map_tables(load(), fmaps, nx, ny) for load in loaders])
     map_flags = _kernels.kernel("map_flags")
 
-    def evaluate(tx: np.ndarray) -> tuple[int, int, np.ndarray, Callable[[np.ndarray], dict]]:
+    def evaluate(tx: np.ndarray) -> tuple[int, int, np.ndarray]:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
 
         def get(name: str) -> np.ndarray:
@@ -471,9 +481,10 @@ def _map_block(nx: int, ny: int, ty: np.ndarray, implications) -> Callable:
 
         total, (i, j, f) = _violations(out.shape[:3], get, implications)
         rows = np.concatenate([tx[i], ty[j], fmaps[f]], axis=1)
-        return math.prod(out.shape[:3]), total, rows, partial(_map_witness, nx, ny)
+        return math.prod(out.shape[:3]), total, rows
 
-    return evaluate
+    chunk = max(1, _CHUNK // (ty.shape[0] * fmaps.shape[0]))
+    return evaluate, partial(_map_witness, nx, ny), chunk
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +529,10 @@ def _relation_sample(n: int, count: int, seed: int) -> np.ndarray:
 
 def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
     """What the sweep of one group of implications covers, decided before
-    any table is loaded: returns the chunk loaders, the block function and
-    whether the sweep is exhaustive.  A map group then loads its two sides
-    and builds the codomain's bound words.
+    any table is loaded: returns the chunk loaders, the block function, the
+    witness formatter and whether the sweep is exhaustive.  The group's step
+    comes from :func:`_step`, which sets the chunk size; a map group loads
+    its two sides first, and the step builds the codomain's bound words.
 
     The group's universe is a table class, the relations, or the maps from a
     domain class to a codomain class.  It is swept whole when it streams
@@ -551,6 +563,7 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
             f"budget {budget} affords no sample at n = {n}: the smallest costs {smallest}"
         )
     affordable = budget // _instance_cost(n, universe)
+    rows = ty = None  # the domain rows in memory, and a map universe's codomain tables
     if isinstance(universe, tuple):  # the maps from one class to another
         cls_x, cls_y = universe
         exhaustive = (
@@ -559,30 +572,28 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
             and class_size(n, cls_x) * class_size(n, cls_y) * fcount <= affordable
         )
         if exhaustive:
-            tx, ty = (np.concatenate([load() for load in chunk_loaders(n, c)]) for c in universe)
+            rows, ty = (np.concatenate([load() for load in chunk_loaders(n, c)]) for c in universe)
         else:
             side = min(MAP_SAMPLE_CAP, math.isqrt(affordable // fcount))
-            tx = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
+            rows = sample_tables(n, cls_x, side, seed + 101 * gi + 2)
             ty = sample_tables(n, cls_y, side, seed + 101 * gi + 3)
-        chunk = max(1, _CHUNK // (ty.shape[0] * fcount))
-        return slice_loaders(tx, chunk), _map_block(n, n, ty, impls), exhaustive
-    if universe == "relations":
+    elif universe == "relations":
         pairs = (1 << n) * ((1 << n) + 1) // 2  # the pairs (a, b) with a <= b
         exhaustive = n <= 2 and (1 << pairs) <= affordable
         if exhaustive:  # relation m sets the pairs, in row-major order, as the bits of m
             rows = _matrix_rows(np.arange(1 << pairs), 1 << n)
         else:
             rows = _relation_sample(n, min(SAMPLE_CAP, affordable), seed + gi)
-        loaders, witness = slice_loaders(rows, _CHUNK), _relation_witness
     else:
         exhaustive = n <= _STREAM_MAX_N and class_size(n, universe) <= affordable
-        if exhaustive:
-            loaders = chunk_loaders(n, universe, chunk_size=_CHUNK)
-        else:
-            tables = sample_tables(n, universe, min(SAMPLE_CAP, affordable), seed + gi)
-            loaders = slice_loaders(tables, _CHUNK)
-        witness = _space_witness
-    return loaders, partial(_space_block, n, witness, impls), exhaustive
+        if not exhaustive:
+            rows = sample_tables(n, universe, min(SAMPLE_CAP, affordable), seed + gi)
+    evaluate, witness, chunk = _step(n, n, impls, ty)
+    if rows is None:  # a whole class, decoded chunk by chunk
+        loaders = chunk_loaders(n, universe, chunk_size=chunk)
+    else:
+        loaders = slice_loaders(rows, chunk)
+    return loaders, evaluate, witness, exhaustive
 
 
 def verify_claim(
@@ -611,9 +622,9 @@ def verify_claim(
     for impl in claim.implications:
         groups.setdefault(impl.universe, []).append(impl)
     for gi, impls in enumerate(groups.values()):
-        loaders, evaluate, exhaustive = _plan(n, impls, budget, seed, gi)
+        loaders, evaluate, witness, exhaustive = _plan(n, impls, budget, seed, gi)
         results = _run_ordered(loaders, lambda load: evaluate(load()), 1)
-        for checked, total, rows, witness in results:
+        for checked, total, rows in results:
             report.instances_checked += checked
             report.total_violations += total
             report.violations.extend(map(witness, rows[: VIOLATION_CAP - len(report.violations)]))
@@ -654,7 +665,8 @@ def hunt_counterexample(
     A map step holds every codomain table of its size pair and their bound
     words: at ny = 3 that is 1 GB of tables, and at (3, 3) 7.2 GB of words.
     The first ny = 3 step, (1, 3), is affordable once the budget exceeds
-    about 3.2e9.  Unlike the verify plan, the hunt never samples a step.
+    about 3.2e9.  Unlike the verify plan, the hunt never samples a step;
+    it sets each step up with :func:`_step`, as the plan does a group.
     """
     if claim_id not in NEGATIVE_CATALOG:
         raise UnknownClaim(f"unknown negative claim id: {claim_id!r}")
@@ -679,14 +691,10 @@ def hunt_counterexample(
         if not scan:
             # a later, smaller size pair may still fit; build nothing here
             continue
-        if maps:
-            ty = all_tables_block(ny, 0, class_size(ny, "all"))
-            evaluate = _map_block(nx, ny, ty, claim.implications)
-        else:
-            evaluate = partial(_space_block, nx, _space_witness, claim.implications)
-        block = max(1, _CHUNK // per_x)
+        ty = all_tables_block(ny, 0, class_size(ny, "all")) if maps else None
+        evaluate, witness, block = _step(nx, ny, claim.implications, ty)
         for lo in range(0, scan, block):
-            _, _, rows, witness = evaluate(all_tables_block(nx, lo, min(lo + block, scan)))
+            _, _, rows = evaluate(all_tables_block(nx, lo, min(lo + block, scan)))
             if len(rows):
                 return {**witness(rows[0]), "claim": claim.id}
         spent += scan * cost

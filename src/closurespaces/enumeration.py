@@ -99,7 +99,8 @@ def upset_families(n: int) -> tuple[int, ...]:
     A family is a bitmask over the 2**n subsets: bit A set means A belongs.
     Found by filtering all 2**2**n families for those whose membership grows
     with the subset, by the single-point test :func:`_monotone` that the
-    isotonic tables and reconstruction condition 1 are checked with too;
+    isotonic tables, reconstruction condition 1 and the rebuilt table's
+    isotonicity are checked with too;
     counts are 3, 6, 20, 168 for n=1..4.  Above n = 4 the filter would not
     fit in memory.
     """

@@ -147,7 +147,7 @@ def test_relation_sample_matches_the_oracle(n, count, seed):
     assert rows.tolist() == oracles.relation_sample(n, count, seed)
     # a budget of count relations at 8**n evaluations each plans that sample
     impls = claims.CATALOG["thm-reconstruct"].implications
-    loaders, evaluate, exhaustive = claims._plan(n, impls, count * 8**n, seed, 0)
+    loaders, evaluate, _, exhaustive = claims._plan(n, impls, count * 8**n, seed, 0)
     assert not exhaustive
     assert np.concatenate([load() for load in loaders]).tolist() == rows.tolist()
     # one instance per relation row
@@ -248,7 +248,7 @@ def test_multi_chunk_sweep_merges_counts_and_caps_witnesses(monkeypatch):
     )
     monkeypatch.setitem(claims.CATALOG, bogus.id, bogus)
     monkeypatch.setattr(claims, "_CHUNK", 16)
-    loaders, _, exhaustive = claims._plan(2, bogus.implications, 256 * 4**2, 0, 0)
+    loaders, _, _, exhaustive = claims._plan(2, bogus.implications, 256 * 4**2, 0, 0)
     assert len(loaders) == 16 and exhaustive
     report = cs.verify_claim(bogus.id, 2)
     assert report.summary() == "claim=bogus-all-grounded n=2 checked=256 violations=192 exhaustive=true"
@@ -403,6 +403,17 @@ def test_hunt_to_n3_at_the_default_budget_skips_what_it_cannot_afford(monkeypatc
 
     monkeypatch.setattr(claims, "all_tables_block", guarded)
     witness = cs.hunt_counterexample(claim_id, n_max=3)
+    golden = Path(__file__).parent / "goldens" / f"{claim_id}.json"
+    assert json.dumps(witness, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
+@pytest.mark.parametrize("chunk", [1, 16])
+@pytest.mark.parametrize("claim_id", HUNT_IDS)
+def test_hunt_witnesses_do_not_depend_on_chunk_size(monkeypatch, claim_id, chunk):
+    # at _CHUNK = 1 a block is one domain table and a codomain slice one
+    # table; the hunt scans in the same order, so it meets the same witness
+    monkeypatch.setattr(claims, "_CHUNK", chunk)
+    witness = cs.hunt_counterexample(claim_id, n_max=2)
     golden = Path(__file__).parent / "goldens" / f"{claim_id}.json"
     assert json.dumps(witness, indent=2, sort_keys=True) + "\n" == golden.read_text()
 

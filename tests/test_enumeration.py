@@ -156,11 +156,14 @@ def test_every_producer_is_column_major(monkeypatch):
         assert _column_major(claims._relation_sample(n, 51, seed=0), n)
     # the relation rows and the map codomain that the plan builds at n <= 2
     codomains = []
-    monkeypatch.setattr(claims, "_map_block", lambda nx, ny, ty, impls: codomains.append(ty))
+    step = claims._step
+    monkeypatch.setattr(
+        claims, "_step", lambda nx, ny, impls, ty=None: codomains.append(ty) or step(nx, ny, impls, ty)
+    )
     impls = claims.CATALOG["thm-reconstruct"].implications + claims.CATALOG["thm-cp-cont"].implications
     for n in (1, 2):
         for impl in impls:  # the relations, and codomain classes isotonic and 'all'
-            loaders, _, exhaustive = claims._plan(n, [impl], 10**8, 0, 0)
+            loaders, _, _, exhaustive = claims._plan(n, [impl], 10**8, 0, 0)
             assert exhaustive
             built = loaders[0]() if impl.universe == "relations" else codomains[-1]
             assert _column_major(built, n), (n, impl.universe)
