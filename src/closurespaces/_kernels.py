@@ -14,6 +14,13 @@ never reorders its input; a row-major one gives the same flags, only more
 slowly.  Flag outputs are bool with one row per instance.  Kernels are
 pure: they never write their inputs.
 
+A flag kernel of several columns takes an optional third argument,
+``columns``: the indices of the columns to return, in the order given, all
+of them by default.  The axiom, criteria and reconstruction kernels skip
+the work of each column not asked for, as ``build_map_tables`` does for
+its bound words; the symmetry kernel computes its three together and
+returns those asked for.
+
 ``symmetry_flags`` works on byte lanes (broadword code, Knuth, TAOCP 4A
 §7.1.3).  It copies the columns once into uint8 and views them as uint64,
 so each word holds eight tables, one byte each, and every later step is a
@@ -49,7 +56,8 @@ condition reads "rebuilt rows ⊆ rows".
 Each morphism predicate of a map f: X -> Y says that cl_X(A) misses a set
 outside[A] for every A ⊆ X, and outside depends on the codomain table and
 f alone.  ``build_map_tables`` packs these sets into one bound word per
-codomain table, assignment and predicate: the nx-bit field of subset A sits
+codomain table, assignment and predicate asked for (a sweep step asks for
+the predicates its implications read): the nx-bit field of subset A sits
 at bit offset nx * A, so a word holds nx * 2**nx bits, which fit 64 for
 nx <= 4 (larger nx raises UniverseTooLarge).  The ``map_flags`` kernel packs
 each domain table the same way and reads predicate p as
@@ -80,30 +88,37 @@ def _incomparable_pairs(n):
     return [(a, b) for a in range(size) for b in range(a + 1, size) if a & b not in (a, b)]
 
 
-def _axiom_flags(tables, n):
+def _all_hold(flags, count):
+    # the AND of a stream of bool columns over count instances
+    ok = np.ones(count, bool)
+    for flag in flags:
+        ok &= flag
+    return ok
+
+
+def _axiom_flags(tables, n, columns=(0, 1, 2, 3, 4)):
     count = tables.shape[0]
     size = 1 << n
 
-    grounded = tables[:, 0] == 0
-    isotonic = _monotone(tables, n)
+    def idempotent():
+        rows = np.arange(count)
+        return _all_hold((tables[rows, tables[:, a]] == tables[:, a] for a in range(size)), count)
 
-    enlarging = np.ones(count, bool)
-    for a in range(size):
-        enlarging &= (a & ~tables[:, a]) == 0
+    def sublinear():
+        # cl(a | b) ⊆ cl(a) | cl(b) holds trivially when one of a, b contains
+        # the other
+        pairs = _incomparable_pairs(n)
+        holds = ((tables[:, a | b] & ~(tables[:, a] | tables[:, b])) == 0 for a, b in pairs)
+        return _all_hold(holds, count)
 
-    rows = np.arange(count)
-    idempotent = np.ones(count, bool)
-    for a in range(size):
-        ta = tables[:, a]
-        idempotent &= tables[rows, ta] == ta
-
-    # cl(a | b) ⊆ cl(a) | cl(b) holds trivially when one of a, b contains
-    # the other
-    sublinear = np.ones(count, bool)
-    for a, b in _incomparable_pairs(n):
-        sublinear &= (tables[:, a | b] & ~(tables[:, a] | tables[:, b])) == 0
-
-    return np.stack([grounded, isotonic, enlarging, idempotent, sublinear], axis=1)
+    flags = (
+        lambda: tables[:, 0] == 0,
+        lambda: _monotone(tables, n),
+        lambda: _all_hold(((a & ~tables[:, a]) == 0 for a in range(size)), count),
+        idempotent,
+        sublinear,
+    )
+    return np.stack([flags[c]() for c in columns], axis=1)
 
 
 def _isotonic_all_pairs(tables, n):
@@ -122,7 +137,7 @@ def _isotonic_all_pairs(tables, n):
     return iso
 
 
-def _symmetry_flags(tables, n):
+def _symmetry_flags(tables, n, columns=(0, 1, 2)):
     if n > 8:
         raise ValueError(f"a mask of {n} points does not fit a byte lane")
     count, size = tables.shape
@@ -165,7 +180,9 @@ def _symmetry_flags(tables, n):
             if x < y:
                 bad[0] |= near[x][y] ^ near[y][x]
                 bad[1] |= far[x][y] ^ far[y][x]
-    return ((bad.view(np.uint8)[:, :count] & 1) == 0).T
+    flags = ((bad.view(np.uint8)[:, :count] & 1) == 0).T
+    # all three, as the all-tables sweep asks, stay a view: a gather copies
+    return flags if columns == (0, 1, 2) else flags[:, columns]
 
 
 def _pack(fields, xs, nx, dtype):
@@ -216,35 +233,38 @@ def _formula_flags(tables, n):
     return (_neighbourhoods(_separation_rows(tables, n), n) == tables).all(axis=1)
 
 
-def _criteria_flags(tables, n):
+def _criteria_flags(tables, n, columns=(0, 1, 2, 3)):
     count = tables.shape[0]
     size = 1 << n
     rows = _separation_rows(tables, n)
-    nb = _neighbourhoods(rows, n)
+    # only the groundedness and sufficiency criteria read the neighbourhoods
+    nb = functools.cache(functools.partial(_neighbourhoods, rows, n))
 
-    grounded_crit = nb[:, 0] == 0
+    def idem_sufficient():
+        # b inside nb[a] forces nb[b] inside nb[a].  g[m], the union of nb[b]
+        # over every b ⊆ m, must then lie inside m = nb[a].  One OR per point
+        # builds g; the reshape splits only the subset axis, so it is a view
+        # of g in any layout.  Masks are narrowed to uint8 words
+        masks = nb().astype(np.min_scalar_type(size - 1))
+        g = masks.copy(order="F")
+        for x in range(n):
+            halves = g.reshape(count, size >> (x + 1), 2, 1 << x)
+            halves[:, :, 1] |= halves[:, :, 0]
+        return ((np.take_along_axis(g, masks, axis=1) | masks) == masks).all(axis=1)
 
-    # related pairs must be disjoint: rows[a] may name only subsets missing a
-    enlarging_crit = ((rows & ~_disjoint_words(n)) == 0).all(axis=1)
-
-    # whatever is related to b and to c is related to b | c; this holds
-    # trivially when one of b, c contains the other
-    sublinear_crit = np.ones(count, bool)
-    for b, c in _incomparable_pairs(n):
-        sublinear_crit &= (rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0
-
-    # the sufficiency condition: b inside nb[a] forces nb[b] inside nb[a].
-    # g[m], the union of nb[b] over every b ⊆ m, must then lie inside m = nb[a].
-    # One OR per point builds g; the reshape splits only the subset axis, so
-    # it is a view of g in any layout.  Masks are narrowed to uint8 words
-    nb = nb.astype(np.min_scalar_type(size - 1))
-    g = nb.copy(order="F")
-    for x in range(n):
-        halves = g.reshape(count, size >> (x + 1), 2, 1 << x)
-        halves[:, :, 1] |= halves[:, :, 0]
-    idem_sufficient = ((np.take_along_axis(g, nb, axis=1) | nb) == nb).all(axis=1)
-
-    return np.stack([grounded_crit, enlarging_crit, sublinear_crit, idem_sufficient], axis=1)
+    flags = (
+        lambda: nb()[:, 0] == 0,
+        # related pairs must be disjoint: rows[a] may name only subsets missing a
+        lambda: ((rows & ~_disjoint_words(n)) == 0).all(axis=1),
+        # whatever is related to b and to c is related to b | c; this holds
+        # trivially when one of b, c contains the other
+        lambda: _all_hold(
+            ((rows[:, b] & rows[:, c] & ~rows[:, b | c]) == 0 for b, c in _incomparable_pairs(n)),
+            count,
+        ),
+        idem_sufficient,
+    )
+    return np.stack([flags[c]() for c in columns], axis=1)
 
 
 def _roundtrip_flags(tables, n):
@@ -256,7 +276,7 @@ def _roundtrip_flags(tables, n):
     return rebuilds_table & _monotone(~rows, n)
 
 
-def _reconstruct_flags(rows, n):
+def _reconstruct_flags(rows, n, columns=(0, 1, 2, 3)):
     # the conditions on the relations, then what the table nb they rebuild
     # is: isotonic, pointwise-symmetric, separating exactly the given pairs.
     # Condition 1 is as in _roundtrip_flags.  Condition 2 (a ∩ nb[b] = ∅ and
@@ -264,15 +284,13 @@ def _reconstruct_flags(rows, n):
     # related
     nb = _neighbourhoods(rows, n)
     rebuilt = _separation_rows(nb, n)
-    return np.stack(
-        [
-            _monotone(~rows, n) & ((rebuilt & ~rows) == 0).all(axis=1),
-            _monotone(nb, n),
-            _symmetry_flags(nb, n)[:, 0],
-            (rebuilt == rows).all(axis=1),
-        ],
-        axis=1,
+    flags = (
+        lambda: _monotone(~rows, n) & ((rebuilt & ~rows) == 0).all(axis=1),
+        lambda: _monotone(nb, n),
+        lambda: _symmetry_flags(nb, n)[:, 0],
+        lambda: (rebuilt == rows).all(axis=1),
     )
+    return np.stack([flags[c]() for c in columns], axis=1)
 
 
 def _closure_bound(ty, pres, ys, xs, nx, dtype):
@@ -296,8 +314,9 @@ def _separation_bound(rows, ys, xs, nx, dtype):
 
 def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
     # predicate p of map (i, j, f) holds iff the word of table i misses the
-    # bound word bounds[j, f, p]; ny only names the size pair
-    if bounds.shape != (ty.shape[0], fmaps.shape[0], 4):
+    # bound word bounds[j, f, p], for each column p the bounds hold; ny only
+    # names the size pair
+    if bounds.shape[:2] != (ty.shape[0], fmaps.shape[0]):
         raise ValueError(
             f"bounds of shape {bounds.shape} do not cover {ty.shape[0]} codomain "
             f"tables and {fmaps.shape[0]} assignments"
@@ -323,11 +342,16 @@ def kernel(name: str):
     return _KERNELS[name]
 
 
-def build_map_tables(ty: np.ndarray, fmaps: np.ndarray, nx: int, ny: int) -> np.ndarray:
+def build_map_tables(
+    ty: np.ndarray, fmaps: np.ndarray, nx: int, ny: int, columns: tuple[int, ...] = (0, 1, 2, 3)
+) -> np.ndarray:
     """Bound words of the maps from nx points into the codomain tables ``ty``
-    under the assignments ``fmaps``, an array of shape (len(ty), len(fmaps), 4)
-    with one column per morphism predicate, in ``MapProfile`` field order.
-    The field of A ⊆ X in each word is the set cl_X(A) must miss:
+    under the assignments ``fmaps``, an array of shape (len(ty), len(fmaps),
+    len(columns)): one column per morphism predicate that ``columns`` names,
+    by its index in ``MapProfile`` field order, in the order given.  Only the
+    words asked for are built, and the codomain's separation rows only for a
+    separation word.  The field of A ⊆ X in each word is the set cl_X(A)
+    must miss:
 
     * closure-preserving: the complement of f⁻¹(cl_Y(f(A)));
     * continuous: the complement of f⁻¹(cl_Y(B)), ORed over every B with
@@ -348,13 +372,11 @@ def build_map_tables(ty: np.ndarray, fmaps: np.ndarray, nx: int, ny: int) -> np.
     ys = np.broadcast_to(np.arange(1 << ny), (fmaps.shape[0], 1 << ny))
     imgs = np.bitwise_or.reduce((xs[..., None] >> points & 1) << fmaps[:, None, :], axis=-1)
     pres = np.bitwise_or.reduce((ys[..., None] >> fmaps[:, None, :] & 1) << points, axis=-1)
-    rows = _separation_rows(ty, ny)
-    return np.stack(
-        [
-            _closure_bound(ty, pres, imgs, xs, nx, dtype),
-            _closure_bound(ty, pres, ys, pres, nx, dtype),
-            _separation_bound(rows, imgs, xs, nx, dtype),
-            _separation_bound(rows, ys, pres, nx, dtype),
-        ],
-        axis=-1,
+    rows = functools.cache(functools.partial(_separation_rows, ty, ny))
+    words = (
+        lambda: _closure_bound(ty, pres, imgs, xs, nx, dtype),
+        lambda: _closure_bound(ty, pres, ys, pres, nx, dtype),
+        lambda: _separation_bound(rows(), imgs, xs, nx, dtype),
+        lambda: _separation_bound(rows(), ys, pres, nx, dtype),
     )
+    return np.stack([words[c]() for c in columns], axis=-1)

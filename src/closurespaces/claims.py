@@ -349,7 +349,8 @@ def _names(profile: type) -> tuple[str, ...]:
 
 
 # the predicates each kernel flags, in column order; a kernel that computes a
-# library profile flags its fields
+# library profile flags its fields.  A kernel of several columns takes the
+# indices of the columns to return as a third argument
 _KERNEL_FLAGS = {
     "axiom_flags": _names(AxiomProfile),
     "symmetry_flags": _names(SymmetryProfile),
@@ -438,28 +439,45 @@ def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple
     the rows of the first VIOLATION_CAP; the formatter makes a document of
     one such row.
 
+    The step works out once which columns each kernel must supply for the
+    predicates the implications read, sorted, and where each predicate
+    sits among them.
+
     Over spaces or relations, at n = nx, the block's rows are tables or
     separation rows, one instance each, and a chunk holds _CHUNK of them.
-    Over maps, a block is of domain tables at nx, and its instances are the
-    maps into the codomain tables ``ty`` at ny, ordered by domain table,
-    codomain table, then assignment (lexicographic); the bound words of
-    ``ty`` are built once, here, and a chunk holds the domain tables that
-    stand for at most _CHUNK maps, and at least one.
+    A kernel is passed its columns, as a third positional argument, only
+    when they are not all of its columns, so a one-column kernel never is.
+    Over maps, a block is of domain tables at nx, and its instances are
+    the maps into the codomain tables ``ty`` at ny, ordered by domain
+    table, codomain table, then assignment (lexicographic); the bound words
+    of ``ty`` that the implications read are built once, here, and a chunk
+    holds the domain tables that stand for at most _CHUNK maps, and at
+    least one.
     """
     universe = implications[0].universe
+    names = {name for i in implications for name in i.hypothesis + i.conclusion}
     if not isinstance(universe, tuple):
+        # _FLAG_COLUMNS lists each kernel's columns in order, so these are sorted
+        columns: dict[str, tuple[int, ...]] = {}
+        for name, (kernel_name, column) in _FLAG_COLUMNS.items():
+            if name in names:
+                columns[kernel_name] = columns.get(kernel_name, ()) + (column,)
+        where = {
+            name: (k, columns[k].index(c)) for name, (k, c) in _FLAG_COLUMNS.items() if name in names
+        }
+        args = {k: (c,) if len(c) < len(_KERNEL_FLAGS[k]) else () for k, c in columns.items()}
 
         def evaluate(tables: np.ndarray) -> tuple[int, int, np.ndarray]:
-            flags: dict[str, np.ndarray] = {}  # each kernel runs once per block
+            flags = {
+                k: _kernels.kernel(k)(tables, nx, *a).reshape(tables.shape[0], -1)
+                for k, a in args.items()
+            }
 
             def get(name: str) -> np.ndarray:
                 if name == "profile_consistent":
                     return _profile_consistent(tables, nx)
-                kernel_name, column = _FLAG_COLUMNS[name]
-                if kernel_name not in flags:
-                    out = _kernels.kernel(kernel_name)(tables, nx)
-                    flags[kernel_name] = out.reshape(tables.shape[0], -1)
-                return flags[kernel_name][:, column]
+                kernel_name, position = where[name]
+                return flags[kernel_name][:, position]
 
             total, (i,) = _violations(tables.shape[:1], get, implications)
             return tables.shape[0], total, tables[i]
@@ -467,17 +485,21 @@ def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple
         witness = _relation_witness if universe == "relations" else _space_witness
         return evaluate, partial(witness, nx), _CHUNK
     fmaps = all_assignments(nx, ny)
+    columns = tuple(sorted(MAP_PREDICATES[name] for name in names))
+    where = {name: columns.index(MAP_PREDICATES[name]) for name in names}
     # the builder's temporaries hold 2**max(nx, ny) int64 entries per word,
     # so it takes _CHUNK // len(fmaps) codomain tables at a time
     loaders = slice_loaders(ty, max(1, _CHUNK // fmaps.shape[0]))
-    bounds = np.concatenate([_kernels.build_map_tables(load(), fmaps, nx, ny) for load in loaders])
+    bounds = np.concatenate(
+        [_kernels.build_map_tables(load(), fmaps, nx, ny, columns) for load in loaders]
+    )
     map_flags = _kernels.kernel("map_flags")
 
     def evaluate(tx: np.ndarray) -> tuple[int, int, np.ndarray]:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
 
         def get(name: str) -> np.ndarray:
-            return out[..., MAP_PREDICATES[name]]
+            return out[..., where[name]]
 
         total, (i, j, f) = _violations(out.shape[:3], get, implications)
         rows = np.concatenate([tx[i], ty[j], fmaps[f]], axis=1)
@@ -662,8 +684,9 @@ def hunt_counterexample(
     UniverseTooLarge when n_max exceeds SAMPLE_MAX_N, whose tables the
     decoder cannot number, before any class is counted.
 
-    A map step holds every codomain table of its size pair and their bound
-    words: at ny = 3 that is 1 GB of tables, and at (3, 3) 7.2 GB of words.
+    A map step holds every codomain table of its size pair and the two
+    bound words its implication reads per codomain table and assignment:
+    at ny = 3 that is 1 GB of tables, and at (3, 3) 3.6 GB of words.
     The first ny = 3 step, (1, 3), is affordable once the budget exceeds
     about 3.2e9.  Unlike the verify plan, the hunt never samples a step;
     it sets each step up with :func:`_step`, as the plan does a group.

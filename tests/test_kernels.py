@@ -1,6 +1,7 @@
 """Every batch kernel must agree with the set-based oracles of
 tests/oracles.py, and with the plain per-space library evaluation."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -37,6 +38,7 @@ def _universe(n):
 
 # the classes whose n = 4 samples the sweeps feed to each kernel
 _N4_CLASSES = {
+    "axiom_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
     "criteria_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
     "formula_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
     "roundtrip_flags": ("isotonic_pointwise_symmetric", "exterior_separated"),
@@ -105,6 +107,17 @@ def _flags_in_either_layout(name, x, n):
     return by_layout[0]
 
 
+def _oracle_tables(n, name):
+    # the tables kernel ``name`` is checked on against the oracles at n
+    if n < 4:
+        return _universe(n)
+    tables = _near(n, _N4_CLASSES[name], 20)
+    if name in ("criteria_flags", "formula_flags", "roundtrip_flags"):
+        # the rows these kernels build assume no axiom of the table
+        tables = np.concatenate([tables, enumeration.sample_tables(4, "all", 40, seed=5)])
+    return tables
+
+
 @pytest.mark.parametrize(
     "n,name",
     [(n, name) for n in (1, 2, 3) for name in sorted(SPACE_ORACLES)]
@@ -113,15 +126,34 @@ def _flags_in_either_layout(name, x, n):
     + [(4, "criteria_flags"), (4, "formula_flags"), (4, "roundtrip_flags"), (4, "symmetry_flags")],
 )
 def test_space_kernel_matches_oracle(n, name):
-    tables = _near(n, _N4_CLASSES[name], 20) if n == 4 else _universe(n)
-    if n == 4 and name in ("criteria_flags", "formula_flags", "roundtrip_flags"):
-        # the rows these kernels build assume no axiom of the table
-        tables = np.concatenate([tables, enumeration.sample_tables(4, "all", 40, seed=5)])
+    tables = _oracle_tables(n, name)
     got = _flags_in_either_layout(name, tables, n).reshape(tables.shape[0], -1)
     for i in range(tables.shape[0]):
         want = SPACE_ORACLES[name](*_as_sets(tables[i], n))
         want = want if isinstance(want, tuple) else (want,)
         assert tuple(bool(v) for v in got[i]) == want, (name, tables[i].tolist())
+
+
+@pytest.mark.parametrize(
+    "n,name",
+    [
+        (n, name)
+        for n in (1, 2, 3, 4)
+        for name in ("axiom_flags", "criteria_flags", "symmetry_flags", "reconstruct_flags")
+    ],
+)
+def test_flag_kernel_returns_the_columns_asked_for(n, name):
+    # a sweep step asks a kernel for the columns it reads: every non-empty
+    # sorted subset, and all of them reversed, must be the same columns of
+    # the kernel's whole output, in the order asked for
+    x = _relations(n) if name == "reconstruct_flags" else _oracle_tables(n, name)
+    kernel = _kernels.kernel(name)
+    full = kernel(x, n)
+    width = full.shape[1]
+    subsets = [c for r in range(1, width + 1) for c in itertools.combinations(range(width), r)]
+    for columns in subsets + [tuple(reversed(range(width)))]:
+        got = kernel(x, n, columns)
+        assert got.dtype == bool and np.array_equal(got, full[:, columns]), columns
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -283,6 +315,24 @@ def test_map_kernel_matches_oracle(nx, ny):
                     oracles.preimage_separation(*sides),
                 )
                 assert tuple(bool(v) for v in out[i, j, k]) == want
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 2), (1, 3), (3, 1), (2, 3)])
+def test_map_bounds_hold_the_columns_asked_for(nx, ny):
+    # a step builds only the bound words its implications read; map_flags
+    # then gives the same columns of the maps' flags
+    rng = np.random.default_rng(7)
+    tx, ty = _map_side(nx, rng), _map_side(ny, rng)
+    fmaps = enumeration.all_assignments(nx, ny)
+    full = _kernels.build_map_tables(ty, fmaps, nx, ny)
+    map_flags = _kernels.kernel("map_flags")
+    flags = map_flags(tx, ty, fmaps, full, nx, ny)
+    for columns in [(c,) for c in range(4)] + list(itertools.permutations(range(4), 2)):
+        bounds = _kernels.build_map_tables(ty, fmaps, nx, ny, columns)
+        assert np.array_equal(bounds, full[..., columns]), columns
+        if len(columns) == 2:
+            got = map_flags(tx, ty, fmaps, bounds, nx, ny)
+            assert np.array_equal(got, flags[..., columns]), columns
 
 
 @pytest.mark.parametrize("n", [1, 2])
