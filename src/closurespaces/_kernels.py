@@ -32,13 +32,16 @@ exterior separation, the first matrix inside the transpose of the second,
 tests all n**2 ordered pairs.  A byte holds masks of at most 8 points.
 
 The relation kernels hold separated pairs in the row format of
-``separation.SeparationRelation``: an int64 array of shape (count, 2**n)
-whose bit b of ``rows[s, a]`` is set iff subsets a and b are separated in
-space s, or related in relation s.  A row holds 2**n bits, so these kernels
-accept n <= MAX_ROW_N = 6; the sweeps stop at n = 4.  The formula,
-criteria and round-trip kernels derive the rows from tables, and read the
-closure the separated pairs determine off them as one route, the
-neighbourhoods nb[a] = {x : {x} and a are not separated};
+``separation.SeparationRelation``: an array of shape (count, 2**n) whose
+bit b of ``rows[s, a]`` is set iff subsets a and b are separated in space
+s, or related in relation s.  A row is held in the unsigned dtype of its
+2**n bits, ``_row_dtype(n)``: uint8 up to n = 3, uint16 at n = 4, up to
+uint64 at n = 6 = MAX_ROW_N, beyond which these kernels refuse; the sweeps
+stop at n = 4.  Every row array the package builds has that dtype, and the
+neighbourhood masks read off rows are uint8.  The formula, criteria and
+round-trip kernels derive the rows from tables, and read the closure the
+separated pairs determine off them as one route, the neighbourhoods
+nb[a] = {x : {x} and a are not separated};
 ``reconstruct_flags`` takes separation rows, not tables: it checks the two
 reconstruction conditions on each relation and the table the relation
 rebuilds.
@@ -46,12 +49,13 @@ rebuilds.
 A row takes no loop over pairs.  Subsets a and b are separated iff b misses
 cl(a) and cl(b) misses a.  The first part depends on the value cl(a) alone,
 so it is one gather from a lookup of 2**n words, ``disjoint[m]`` = the
-subsets that miss m.  The second part is the AND, over the points x of a,
-of the word z[x] = {b : x not in cl(b)}: n packs per table, then one AND
-per subset.  The rows of the table nb that a relation rebuilds turn
-reconstruction condition 2 into one word test: its hypothesis for (a, b),
-a ∩ nb[b] = ∅ and b ∩ nb[a] = ∅, says that nb separates a and b, so the
-condition reads "rebuilt rows ⊆ rows".
+subsets that miss m, indexed by the table cast once to bytes.  The second
+part is the AND, over the points x of a, of the word z[x] = {b : x not in
+cl(b)}: n shift-and-OR packs per table, then one AND per subset.  The rows
+of the table nb that a relation rebuilds turn reconstruction condition 2
+into one word test: its hypothesis for (a, b), a ∩ nb[b] = ∅ and
+b ∩ nb[a] = ∅, says that nb separates a and b, so the condition reads
+"rebuilt rows ⊆ rows".
 
 Each morphism predicate of a map f: X -> Y says that cl_X(A) misses a set
 outside[A] for every A ⊆ X, and outside depends on the codomain table and
@@ -59,7 +63,11 @@ f alone.  ``build_map_tables`` packs these sets into one bound word per
 codomain table, assignment and predicate asked for (a sweep step asks for
 the predicates its implications read): the nx-bit field of subset A sits
 at bit offset nx * A, so a word holds nx * 2**nx bits, which fit 64 for
-nx <= 4 (larger nx raises UniverseTooLarge).  The ``map_flags`` kernel packs
+nx <= 4 (larger nx raises UniverseTooLarge).  The separation words take
+no loop over pairs: each is f⁻¹ of a union of codomain subsets, read from
+one cached lookup ``unions[w]``, the union of the subsets whose bits are set
+in the row word w.  The lookup has 2**2**ny entries, so the builder refuses
+ny > 4, where the sweeps stop.  The ``map_flags`` kernel packs
 each domain table the same way and reads predicate p as
 ``(table word & bound word) == 0``.  The split lets a sweep build the bounds
 once per codomain block, then check every domain chunk against them with
@@ -78,7 +86,7 @@ from .enumeration import UniverseTooLarge, _monotone
 BACKEND = "numpy"
 HAVE_NUMBA = False
 
-# 2**6 = 64 bits, the width of an int64 separation row
+# 2**6 = 64 bits, the widest separation row, a uint64
 MAX_ROW_N = 6
 
 
@@ -190,42 +198,62 @@ def _pack(fields, xs, nx, dtype):
     # field of subset xs[..., u], ORed over the last axis; with nx = 1 and
     # xs = 0..k-1, bit b of each word is fields[..., b]
     shifts = (nx * xs).astype(dtype)
-    return np.bitwise_or.reduce(fields.astype(dtype) << shifts, axis=-1)
+    return np.bitwise_or.reduce(fields.astype(dtype, copy=False) << shifts, axis=-1)
 
 
+def _row_dtype(n):
+    # the unsigned dtype of a 2**n-bit separation row: uint8 up to n = 3
+    return np.dtype(f"uint{max(8, 1 << n)}")
+
+
+@functools.cache
 def _disjoint_words(n):
     # disjoint[m]: the word of the subsets that miss m
     subsets = np.arange(1 << n)
-    return _pack((subsets[:, None] & subsets) == 0, subsets, 1, np.int64)
+    disjoint = _pack((subsets[:, None] & subsets) == 0, subsets, 1, _row_dtype(n))
+    disjoint.setflags(write=False)  # cached and shared
+    return disjoint
+
+
+@functools.cache
+def _unions(n):
+    # unions[w]: the union of the subsets whose bits are set in the row word
+    # w; the words below 2**(b + 1) are those below 2**b, then each plus b
+    unions = np.zeros(1, np.uint8)
+    for b in range(1 << n):
+        unions = np.concatenate([unions, unions | b])
+    unions.setflags(write=False)  # cached and shared
+    return unions
 
 
 def _separation_rows(tables, n):
     # rows[s, a]: bit b set iff subsets a and b are separated in space s,
     # that is, b misses cl(a) and cl(b) misses a
     if n > MAX_ROW_N:
-        raise ValueError(f"a separation row of 2**{n} bits does not fit an int64")
-    # z[x]: the word of the b whose closure misses x, for every table; at
-    # n = 6 the int64 sum wraps into bit 63 as a shift would
-    weights = np.int64(1) << np.arange(1 << n)
-    missing = ~tables
-    z = [(missing >> x & 1) @ weights for x in range(n)]
+        raise ValueError(f"a separation row of 2**{n} bits does not fit 64 bits")
+    dtype = _row_dtype(n)
+    cols = tables.astype(np.uint8)  # a mask of n <= 6 points fits a byte
+    # z[x]: the word of the b whose closure misses x, for every table
+    subsets = np.arange(1 << n)
+    missing = (~cols).astype(dtype, copy=False)
+    z = [_pack(missing >> x & 1, subsets, 1, dtype) for x in range(n)]
     # apart[s, a]: the AND of z[x] over the points x of a.  The subsets whose
     # highest point is x are the subsets of the lower points, each plus x, so
     # one slice per point fills them
-    apart = np.empty(tables.shape, np.int64, order="F")
-    apart[:, 0] = -1
+    apart = np.empty(tables.shape, dtype, order="F")
+    apart[:, 0] = np.iinfo(dtype).max
     for x in range(n):
         np.bitwise_and(apart[:, : 1 << x], z[x][:, None], out=apart[:, 1 << x : 2 << x])
-    return np.bitwise_and(apart, _disjoint_words(n)[tables], out=apart)
+    return np.bitwise_and(apart, _disjoint_words(n)[cols], out=apart)
 
 
 def _neighbourhoods(rows, n):
     # nb[s, a] = {x : bit {x} of rows[s, a] clear}: the closure of a that the
-    # separated pairs determine
-    nb = np.zeros_like(rows)
+    # separated pairs determine, as uint8 masks
+    related = np.zeros(rows.shape, np.uint8, order="F")
     for x in range(n):
-        nb |= (~rows >> (1 << x) & 1) << x
-    return nb
+        related |= (rows >> (1 << x) & 1).astype(np.uint8) << x
+    return related ^ np.uint8((1 << n) - 1)
 
 
 def _formula_flags(tables, n):
@@ -244,8 +272,8 @@ def _criteria_flags(tables, n, columns=(0, 1, 2, 3)):
         # b inside nb[a] forces nb[b] inside nb[a].  g[m], the union of nb[b]
         # over every b ⊆ m, must then lie inside m = nb[a].  One OR per point
         # builds g; the reshape splits only the subset axis, so it is a view
-        # of g in any layout.  Masks are narrowed to uint8 words
-        masks = nb().astype(np.min_scalar_type(size - 1))
+        # of g in any layout
+        masks = nb()
         g = masks.copy(order="F")
         for x in range(n):
             halves = g.reshape(count, size >> (x + 1), 2, 1 << x)
@@ -299,19 +327,6 @@ def _closure_bound(ty, pres, ys, xs, nx, dtype):
     return _pack(~pre_cl & ((1 << nx) - 1), xs, nx, dtype)
 
 
-def _separation_bound(rows, ys, xs, nx, dtype):
-    # xs[f, v] in the field of xs[f, u], for every pair (u, v) whose
-    # codomain sets ys[f, u] and ys[f, v] are separated in Y
-    fields = np.stack(
-        [
-            np.bitwise_or.reduce((rows[:, ys[:, u], None] >> ys & 1) * xs, axis=-1)
-            for u in range(ys.shape[1])
-        ],
-        axis=-1,
-    )
-    return _pack(fields, xs, nx, dtype)
-
-
 def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
     # predicate p of map (i, j, f) holds iff the word of table i misses the
     # bound word bounds[j, f, p], for each column p the bounds hold; ny only
@@ -360,11 +375,18 @@ def build_map_tables(
     * preimage-separating: f⁻¹(D), ORed over every separated pair (C, D)
       of Y with f⁻¹(C) = A.
 
-    The temporaries hold 2**max(nx, ny) int64 entries per word, so a large
-    codomain is best passed a slice at a time.  Raises UniverseTooLarge
-    when the nx * 2**nx bits of a word exceed 64."""
+    Each separation word is two gathers from ``_unions(ny)`` and pres:
+    the B ⊆ X with f(B) = C have union f⁻¹(C) when C ⊆ f(X), and none
+    otherwise, so the nonseparating field of A is f⁻¹ of the union of the
+    C ⊆ f(X) separated from f(A); the preimage-separating field of f⁻¹(C)
+    is f⁻¹ of the union of the D separated from C.  The temporaries hold
+    2**max(nx, ny) entries per word, so a large codomain is best passed a
+    slice at a time.  Raises UniverseTooLarge when the nx * 2**nx bits of
+    a word exceed 64, or when ny > 4."""
     if nx << nx > 64:
         raise UniverseTooLarge(f"a map bound word of {nx} * 2**{nx} bits does not fit 64 bits")
+    if ny > 4:
+        raise UniverseTooLarge(f"a union lookup of 2**2**{ny} words is too large")
     dtype = np.min_scalar_type((1 << (nx << nx)) - 1)
     points = np.arange(nx)
     # xs[f, a] = A and ys[f, b] = B; imgs[f, a] = f(A) and pres[f, b] = f⁻¹(B)
@@ -372,11 +394,14 @@ def build_map_tables(
     ys = np.broadcast_to(np.arange(1 << ny), (fmaps.shape[0], 1 << ny))
     imgs = np.bitwise_or.reduce((xs[..., None] >> points & 1) << fmaps[:, None, :], axis=-1)
     pres = np.bitwise_or.reduce((ys[..., None] >> fmaps[:, None, :] & 1) << points, axis=-1)
+    fs = np.arange(fmaps.shape[0])[:, None]
     rows = functools.cache(functools.partial(_separation_rows, ty, ny))
+    # the words of the subsets of f(X): those that miss its complement
+    onto = _disjoint_words(ny)[imgs[:, -1] ^ ((1 << ny) - 1)][:, None]
     words = (
         lambda: _closure_bound(ty, pres, imgs, xs, nx, dtype),
         lambda: _closure_bound(ty, pres, ys, pres, nx, dtype),
-        lambda: _separation_bound(rows(), imgs, xs, nx, dtype),
-        lambda: _separation_bound(rows(), ys, pres, nx, dtype),
+        lambda: _pack(pres[fs, _unions(ny)[rows()[:, imgs] & onto]], xs, nx, dtype),
+        lambda: _pack(pres[fs, _unions(ny)[rows()][:, None]], pres, nx, dtype),
     )
     return np.stack([words[c]() for c in columns], axis=-1)

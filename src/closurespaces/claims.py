@@ -487,8 +487,8 @@ def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple
     fmaps = all_assignments(nx, ny)
     columns = tuple(sorted(MAP_PREDICATES[name] for name in names))
     where = {name: columns.index(MAP_PREDICATES[name]) for name in names}
-    # the builder's temporaries hold 2**max(nx, ny) int64 entries per word,
-    # so it takes _CHUNK // len(fmaps) codomain tables at a time
+    # the builder's temporaries hold 2**max(nx, ny) entries per word, so it
+    # takes _CHUNK // len(fmaps) codomain tables at a time
     loaders = slice_loaders(ty, max(1, _CHUNK // fmaps.shape[0]))
     bounds = np.concatenate(
         [_kernels.build_map_tables(load(), fmaps, nx, ny, columns) for load in loaders]
@@ -539,13 +539,13 @@ def _relation_sample(n: int, count: int, seed: int) -> np.ndarray:
     size = 1 << n
     spaces = sample_tables(n, "isotonic_pointwise_symmetric", (count + 1) // 2, seed)
     derived = _kernels._separation_rows(spaces, n)
-    rows = np.empty((count, size), np.int64, order="F")
+    rows = np.empty((count, size), derived.dtype, order="F")
     rows[0::2], rows[1::2] = derived, derived[: count // 2]
     flips = np.random.default_rng(seed).integers(0, size * (size + 1) // 2, size=count // 2)
     a, b = (side[flips] for side in np.triu_indices(size))
     i = np.arange(1, count, 2)  # the copies
-    rows[i, a] ^= 1 << b
-    rows[i, b] ^= (a != b) << a  # the pair {a, a} is one bit
+    rows[i, a] ^= (1 << b).astype(rows.dtype)
+    rows[i, b] ^= ((a != b) << a).astype(rows.dtype)  # the pair {a, a} is one bit
     return rows
 
 
@@ -603,7 +603,7 @@ def _plan(n: int, impls: list, budget: int, seed: int, gi: int) -> tuple:
         pairs = (1 << n) * ((1 << n) + 1) // 2  # the pairs (a, b) with a <= b
         exhaustive = n <= 2 and (1 << pairs) <= affordable
         if exhaustive:  # relation m sets the pairs, in row-major order, as the bits of m
-            rows = _matrix_rows(np.arange(1 << pairs), 1 << n)
+            rows = _matrix_rows(np.arange(1 << pairs), 1 << n).astype(_kernels._row_dtype(n))
         else:
             rows = _relation_sample(n, min(SAMPLE_CAP, affordable), seed + gi)
     else:

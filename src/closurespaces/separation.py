@@ -5,7 +5,8 @@ bitmask row per subset: bit B of ``rows[A]`` is set iff {A, B} is related,
 so the rows are symmetric.  A pair may relate a subset to itself (the pair
 {∅, ∅} in particular is forced whenever the reconstruction conditions hold).
 Rows are Python integers of 2**n bits, so any carrier size fits; the batch
-kernels of ``_kernels`` use the same rows as int64 words.
+kernels of ``_kernels`` use the same rows as unsigned words of 2**n bits
+(uint8 up to n = 3, uint16 at n = 4, up to uint64 at n = 6).
 
 With this format the conditions are word operations (Knuth, TAOCP 4A
 §7.1.3): ``nb[A]``, the points whose singleton is not related to A, is the

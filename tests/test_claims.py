@@ -546,7 +546,7 @@ def test_hunt_formats_only_its_witness(monkeypatch):
 
 def test_map_bounds_are_built_a_codomain_slice_at_a_time(monkeypatch):
     # a hunt holds every codomain table of a size pair, 16,777,216 at ny = 3,
-    # so the builder, whose int64 temporaries grow with its codomain block,
+    # so the builder, whose temporaries grow with its codomain block,
     # gets _CHUNK // len(fmaps) tables a call
     from closurespaces import _kernels
 

@@ -156,26 +156,48 @@ def test_flag_kernel_returns_the_columns_asked_for(n, name):
         assert got.dtype == bool and np.array_equal(got, full[:, columns]), columns
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _wide_tables(n):
+    # at n = 5 and 6, beyond the samplers: the discrete and the empty
+    # closure, whose rows fill every word bit up to 2**n - 1, and closures
+    # of a few random points each beyond the subset itself
+    size = 1 << n
+    rng = np.random.default_rng(5)
+    subsets = np.arange(size)
+    extra = rng.integers(0, size, (6, size)) & rng.integers(0, size, (6, size))
+    return np.concatenate([subsets[None], np.zeros((1, size), np.int64), subsets | extra])
+
+
+# the unsigned dtype of 2**n bits that holds every separation row at n
+_ROW_DTYPES = {1: np.uint8, 2: np.uint8, 3: np.uint8, 4: np.uint16, 5: np.uint32, 6: np.uint64}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_separation_rows_match_oracle(n):
-    # every table up to n = 2; beyond, near misses of the classes the sweeps
-    # feed and uniform tables, which fail every axiom
+    # every table up to n = 2; at n = 3 and 4, near misses of the classes
+    # the sweeps feed and uniform tables, which fail every axiom; beyond,
+    # a few tables whose rows reach the top bit of the word
     if n == 4:
         classes = ("isotonic", "isotonic_pointwise_symmetric", "exterior_separated")
         tables = np.concatenate(
             [_near(4, classes, 20), enumeration.sample_tables(4, "all", 200, seed=5)]
         )
+    elif n > 4:
+        tables = _wide_tables(n)
     else:
         tables = _universe(n)
     rows = _kernels._separation_rows(tables, n)
     size = 1 << n
-    assert rows.shape == tables.shape and rows.dtype == np.int64
-    assert (rows >> size == 0).all()
+    assert rows.shape == tables.shape and rows.dtype == _ROW_DTYPES[n]
+    assert int(rows.max()) >> size == 0
+    nb = _kernels._neighbourhoods(rows, n)
+    assert nb.dtype == np.uint8
     ps = [frozenset(x for x in range(n) if a >> x & 1) for a in range(size)]
     for i in range(tables.shape[0]):
-        want = oracles.separated_pairs(*_as_sets(tables[i], n))
+        u, cl = _as_sets(tables[i], n)
+        want = oracles.separated_pairs(u, cl)
         got = [[int(rows[i, a]) >> b & 1 for b in range(size)] for a in range(size)]
         assert got == [[int(frozenset({pa, pb}) in want) for pb in ps] for pa in ps], tables[i].tolist()
+        assert _as_sets(nb[i], n)[1] == oracles.reconstructed_closure(u, want)
 
 
 @pytest.mark.parametrize("name", sorted(SPACE_ORACLES))
@@ -238,13 +260,14 @@ def _relations(n):
     20 isotonic pointwise-symmetric samples and their flipped copies."""
     size = 1 << n
     npairs = size * (size + 1) // 2
+    dtype = _kernels._row_dtype(n)  # the sweeps hold relations in it
     if n <= 2:
-        return enumeration._matrix_rows(np.arange(1 << npairs), size)
+        return enumeration._matrix_rows(np.arange(1 << npairs), size).astype(dtype)
     sampled = claims._relation_sample(n, 5000 if n == 3 else 40, seed=0)
     if n == 4:
         return sampled
     uniform = np.random.default_rng(5).integers(0, 1 << npairs, 1000)
-    return np.concatenate([sampled, enumeration._matrix_rows(uniform, size)])
+    return np.concatenate([sampled, enumeration._matrix_rows(uniform, size).astype(dtype)])
 
 
 def _reconstruction(row, n):
@@ -288,15 +311,18 @@ def _map_side(n, rng):
     )
 
 
-# (4, 1) fills all 64 bits of a bound word
+# (4, 1) fills all 64 bits of a bound word; at ny = 4 the separation words
+# read 16-bit rows and the union lookup of 2**16 words
 @pytest.mark.parametrize(
-    "nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 3), (3, 3), (4, 1)]
+    "nx,ny",
+    [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 3), (3, 3), (4, 1), (1, 4), (2, 4)],
 )
 def test_map_kernel_matches_oracle(nx, ny):
     rng = np.random.default_rng(7)
     tx, ty = _map_side(nx, rng), _map_side(ny, rng)
     fmaps = enumeration.all_assignments(nx, ny)
     bounds = _kernels.build_map_tables(ty, fmaps, nx, ny)
+    assert bounds.dtype == np.min_scalar_type((1 << (nx << nx)) - 1)
     out = _kernels.kernel("map_flags")(tx, ty, fmaps, bounds, nx, ny)
     # every predicate both holds and fails somewhere in the sample
     columns = out.reshape(-1, 4)
@@ -390,6 +416,13 @@ def test_map_bounds_refuse_more_than_64_bits():
     ty = enumeration.all_tables_block(1, 0, 4)
     with pytest.raises(enumeration.UniverseTooLarge):
         _kernels.build_map_tables(ty, enumeration.all_assignments(5, 1), 5, 1)
+
+
+def test_map_bounds_refuse_a_codomain_of_more_than_4_points():
+    # the union lookup of a 2**ny-bit row word has 2**2**ny entries
+    ty = np.zeros((1, 1 << 5), np.int64)
+    with pytest.raises(enumeration.UniverseTooLarge, match="union lookup"):
+        _kernels.build_map_tables(ty, enumeration.all_assignments(1, 5), 1, 5)
 
 
 def test_map_flags_refuses_bounds_of_other_tables():
