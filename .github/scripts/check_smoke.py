@@ -1,7 +1,8 @@
 """Check the result of a benchmark smoke run, the last line of
 ``perfbench/run.py`` output saved as ``last.json`` in the working directory:
 it must be correct with 0 failed, the untraced sweep-all-n3 run must peak
-under 200 MB, and a traced run must reach the pinned row and chunk counts.
+under 200 MB, and a traced run must reach the pinned row, call and chunk
+counts.
 
 Usage: python .github/scripts/check_smoke.py TRACE  (TRACE is 0 or 1, as
 passed to perfbench/run.py --trace)
@@ -20,7 +21,9 @@ if sys.argv[1] == "1":
     # the rows and chunk jobs of one pass, pinned exactly: a kernel
     # called around _kernels.kernel, or a sweep loop that bypasses
     # claims._run_ordered, would read 0 here, and a table array in
-    # the transposed (2**n, count) shape would read 2**n rows a call
+    # the transposed (2**n, count) shape would read 2**n rows a call;
+    # the audit's object-level side is pinned too, so a change that
+    # routed axioms-equiv-check through the kernels alone would read 0
     expected = {
         "kernels-maps-n3.kernels.axiom_flags.n3.rows": 255200,
         "kernels-maps-n3.kernels.criteria_flags.n3.rows": 255200,
@@ -29,6 +32,8 @@ if sys.argv[1] == "1":
         "kernels-maps-n3.kernels.roundtrip_flags.n3.rows": 1736,
         "kernels-maps-n3.kernels.map_flags.n3.rows": 8640000,
         "object-path.kernels.isotonic_all_pairs.n3.rows": 5000,
+        "object-path.core.axiom_profile.calls": 5000,
+        "object-path.core.symmetry_profile.calls": 5000,
         "sweep-all-n3.kernels.symmetry_flags.n3.rows": 16777216,
         "sweep-all-n3.enumeration.all_tables_block.rows": 16777216,
         "sweep-all-n3.claims.chunks": 1024,

@@ -76,6 +76,7 @@ from .core import (
     symmetry_profile,
 )
 from .enumeration import (
+    _CHUNK,
     _STREAM_MAX_N,
     SAMPLE_MAX_N,
     UniverseTooLarge,
@@ -94,7 +95,6 @@ DEFAULT_EVAL_BUDGET = 10**8
 SAMPLE_CAP = 5000
 MAP_SAMPLE_CAP = 200
 VIOLATION_CAP = 100
-_CHUNK = 1 << 14
 
 
 class UnknownClaim(ClosureSpaceError):

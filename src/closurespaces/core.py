@@ -141,11 +141,16 @@ def is_neighborhood(space: Space, n_set: int, x: int) -> bool:
     return (interior(space, n_set) >> x) & 1 == 1
 
 
+def _separated(table: Sequence[int], a: int, b: int) -> bool:
+    """A ∩ cl(B) = ∅ and cl(A) ∩ B = ∅, for masks already in range."""
+    return not a & table[b] and not table[a] & b
+
+
 def are_separated(space: Space, a: int, b: int) -> bool:
     """A and B are separated iff A ∩ cl(B) = ∅ and cl(A) ∩ B = ∅."""
     _check_mask(space, a)
     _check_mask(space, b)
-    return (a & space.table[b]) == 0 and (space.table[a] & b) == 0
+    return _separated(space.table, a, b)
 
 
 def axiom_profile(space: Space) -> AxiomProfile:
@@ -188,20 +193,14 @@ def axiom_profile(space: Space) -> AxiomProfile:
     return AxiomProfile(grounded, isotonic, enlarging, idempotent, sublinear)
 
 
-def _in_every_neighborhood(interiors: list[int], x: int, y: int) -> bool:
-    """True iff x belongs to every neighborhood of y (vacuously true when y
-    has no neighborhoods); ``interiors[N]`` is int(N)."""
-    for n_set, inner in enumerate(interiors):
-        if (inner >> y) & 1 and not (n_set >> x) & 1:
-            return False
-    return True
-
-
 def symmetry_profile(space: Space) -> SymmetryProfile:
     """Evaluate the three separation-style properties by their definitions.
 
-    r0 is evaluated by the literal double neighborhood quantifier, so that
-    spaces violating isotonicity are judged faithfully.
+    r0 is evaluated by the neighborhood meet: meet[y] is the intersection of
+    the N whose interior holds y (the whole carrier when y has none), so
+    x ∈ meet[y] iff x lies in every neighborhood of y, and r0 reads
+    x ∈ meet[y] ⇒ y ∈ meet[x].  That is the neighborhood quantifier itself,
+    valid on any table, isotonic or not.
     """
     t = space.table
     n = space.ground.n
@@ -218,17 +217,15 @@ def symmetry_profile(space: Space) -> SymmetryProfile:
         if not pointwise_symmetric:
             break
 
-    interiors = [full ^ t[full ^ n_set] for n_set in range(size)]
-    r0 = True
-    for x in range(n):
+    meet = [full] * n
+    for n_set in range(size):
+        inner = full ^ t[full ^ n_set]
         for y in range(n):
-            if _in_every_neighborhood(interiors, x, y) and not _in_every_neighborhood(
-                interiors, y, x
-            ):
-                r0 = False
-                break
-        if not r0:
-            break
+            if (inner >> y) & 1:
+                meet[y] &= n_set
+    r0 = all(
+        (meet[x] >> y) & 1 for x in range(n) for y in range(n) if (meet[y] >> x) & 1
+    )
 
     # for x outside cl(A), {x} and A are separated iff cl({x}) misses A
     exterior_separated = True

@@ -58,6 +58,8 @@ SAMPLE_MAX_N = 4
 # arrays in memory (the 168**4 isotonic tables at n = 4 would take 102 GB),
 # and class 'all' has 16**16 tables at n = 4
 _STREAM_MAX_N = 3
+# the rows of a chunk: the streams' default, and the sweep chunk of claims
+_CHUNK = 1 << 14
 
 
 class UniverseTooLarge(ClosureSpaceError):
@@ -307,7 +309,7 @@ def slice_loaders(tables: np.ndarray, chunk_size: int) -> list[Callable[[], np.n
 
 
 def chunk_loaders(
-    n: int, cls: str, *, chunk_size: int = 1 << 14
+    n: int, cls: str, *, chunk_size: int = _CHUNK
 ) -> list[Callable[[], np.ndarray]]:
     """The class universe as loaders of consecutive chunks, in lexicographic
     order; calling a loader returns its chunk as an int64 table array.
@@ -335,7 +337,7 @@ def chunk_loaders(
     return slice_loaders(tables, chunk_size)
 
 
-def iter_table_chunks(n: int, cls: str, *, chunk_size: int = 1 << 14) -> Iterator[np.ndarray]:
+def iter_table_chunks(n: int, cls: str, *, chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
     """Stream the class universe as int64 table arrays in lexicographic
     order: the chunks of :func:`chunk_loaders`, loaded one at a time."""
     for load in chunk_loaders(n, cls, chunk_size=chunk_size):

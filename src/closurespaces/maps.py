@@ -3,7 +3,11 @@
 Each predicate is evaluated by its definition over all subsets of the
 relevant carrier (O(4**n) pairs in the worst case), never via the
 implications between them, so those implications stay independently
-checkable.  Quantifiers include the empty and full subsets.
+checkable.  Quantifiers include the empty and full subsets.  A predicate
+lists the images of every domain subset, or the preimages of every codomain
+subset, once, and then reads that list.  Both separation predicates run one
+loop, :func:`_reflects`: nonseparating pairs the domain subsets with their
+images, preimage separation the preimages with the codomain subsets.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ElementOutOfRange, MaskOutOfRange, Space, are_separated
+from .core import ElementOutOfRange, MaskOutOfRange, Space, _separated
 
 
 @dataclass(frozen=True)
@@ -65,48 +69,52 @@ def preimage(mp: SpaceMap, b: int) -> int:
     return m
 
 
+def _images(mp: SpaceMap) -> list[int]:
+    """f(A) for every domain subset A, indexed by A."""
+    return [image(mp, a) for a in range(mp.domain.ground.size)]
+
+
+def _preimages(mp: SpaceMap) -> list[int]:
+    """f⁻¹(B) for every codomain subset B, indexed by B."""
+    return [preimage(mp, b) for b in range(mp.codomain.ground.size)]
+
+
+def _reflects(mp: SpaceMap, xs: Sequence[int], ys: Sequence[int]) -> bool:
+    """For every i <= j with ys[i], ys[j] separated in the codomain,
+    xs[i], xs[j] are separated in the domain."""
+    tx = mp.domain.table
+    ty = mp.codomain.table
+    for i, (a, c) in enumerate(zip(xs, ys)):
+        for j in range(i, len(ys)):
+            if _separated(ty, c, ys[j]) and not _separated(tx, a, xs[j]):
+                return False
+    return True
+
+
 def is_closure_preserving(mp: SpaceMap) -> bool:
     """f(cl(A)) ⊆ cl(f(A)) for every domain subset A."""
     tx = mp.domain.table
     ty = mp.codomain.table
-    for a in range(mp.domain.ground.size):
-        if image(mp, tx[a]) & ~ty[image(mp, a)]:
-            return False
-    return True
+    images = _images(mp)
+    return not any(images[tx[a]] & ~ty[fa] for a, fa in enumerate(images))
 
 
 def is_continuous(mp: SpaceMap) -> bool:
     """cl(f⁻¹(B)) ⊆ f⁻¹(cl(B)) for every codomain subset B."""
     tx = mp.domain.table
     ty = mp.codomain.table
-    for b in range(mp.codomain.ground.size):
-        if tx[preimage(mp, b)] & ~preimage(mp, ty[b]):
-            return False
-    return True
+    preimages = _preimages(mp)
+    return not any(tx[pb] & ~preimages[ty[b]] for b, pb in enumerate(preimages))
 
 
 def is_nonseparating(mp: SpaceMap) -> bool:
     """Pairs with separated images were already separated in the domain."""
-    size = mp.domain.ground.size
-    for a in range(size):
-        for b in range(a, size):
-            if are_separated(mp.codomain, image(mp, a), image(mp, b)) and not are_separated(
-                mp.domain, a, b
-            ):
-                return False
-    return True
+    return _reflects(mp, range(mp.domain.ground.size), _images(mp))
 
 
 def preimage_separation(mp: SpaceMap) -> bool:
     """Preimages of separated codomain pairs are separated in the domain."""
-    size = mp.codomain.ground.size
-    for c in range(size):
-        for d in range(c, size):
-            if are_separated(mp.codomain, c, d) and not are_separated(
-                mp.domain, preimage(mp, c), preimage(mp, d)
-            ):
-                return False
-    return True
+    return _reflects(mp, _preimages(mp), range(mp.codomain.ground.size))
 
 
 def map_profile(mp: SpaceMap) -> MapProfile:

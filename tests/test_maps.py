@@ -1,9 +1,13 @@
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import closurespaces as cs
 import oracles
+from closurespaces import enumeration
 
 from test_core import spaces
 
@@ -104,3 +108,56 @@ def test_two_way_theorem_at_desk_scale(mp):
         assert cs.is_closure_preserving(mp)
     if cs.is_closure_preserving(mp):
         assert cs.is_nonseparating(mp)
+
+
+def _sample_spaces(n, rng):
+    """The discrete space, the discrete table with point 0 added to every
+    entry (so 0 has no neighborhood), four uniform tables and, up to the
+    samplers' n, three sampled tables of each class."""
+    size = 1 << n
+    rows = [list(range(size)), [a | 1 for a in range(size)]]
+    rows += rng.integers(0, size, size=(4, size)).tolist()
+    if n <= enumeration.SAMPLE_MAX_N:
+        for k, cls in enumerate(enumeration.CLASSES):
+            rows += enumeration.sample_tables(n, cls, 3, seed=k).tolist()
+    return [cs.make_space(cs.ground(n), row) for row in rows]
+
+
+# sizes space_maps(max_n=3) never draws, past the nx = ny = 3 corner
+@pytest.mark.parametrize("nx,ny", [(4, 1), (1, 4), (4, 2), (5, 3)])
+def test_map_predicates_match_oracle_past_hypothesis_sizes(nx, ny):
+    rng = np.random.default_rng(7)
+    xs, ys = _sample_spaces(nx, rng), _sample_spaces(ny, rng)
+    assignments = [[i % ny for i in range(nx)], [0] * nx, [ny - 1] * nx]
+    assignments += rng.integers(0, ny, size=(3, nx)).tolist()
+    seen = set()
+    for i, dom in enumerate(xs):
+        for j, cod in enumerate(ys):
+            mp = cs.make_map(dom, cod, assignments[(i + j) % len(assignments)])
+            sides = oracles.from_map(mp)
+            got = cs.map_profile(mp)
+            assert got == cs.MapProfile(
+                oracles.closure_preserving(*sides),
+                oracles.continuous(*sides),
+                oracles.nonseparating(*sides),
+                oracles.preimage_separation(*sides),
+            ), (dom.table, cod.table, mp.assignment)
+            seen.update(enumerate(astuple(got)))
+    # every predicate both holds and fails somewhere in the sample
+    assert seen == {(k, v) for k in range(4) for v in (False, True)}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetry_profile_matches_oracle_past_hypothesis_sizes(n):
+    spaces = _sample_spaces(n, np.random.default_rng(7))
+    r0s = set()
+    for sp in spaces:
+        universe, cl = oracles.from_space(sp)
+        prof = cs.symmetry_profile(sp)
+        assert prof == cs.SymmetryProfile(
+            oracles.pointwise_symmetric(universe, cl),
+            oracles.r0(universe, cl),
+            oracles.exterior_separated(universe, cl),
+        ), sp.table
+        r0s.add(prof.r0)
+    assert r0s == {False, True}
