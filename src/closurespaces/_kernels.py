@@ -6,9 +6,12 @@ loops run only over subsets and points, whose number depends on n alone.
 ``python3 perfbench/run.py`` times the kernels inside the sweeps that use
 them.
 
-Tables arrive as int64 arrays of shape (count, 2**n) in column-major
-memory, the one layout of every table and separation-row array the package
-builds (``_separation_rows`` writes it too): each subset's column
+Tables arrive as integer arrays of shape (count, 2**n) whose entries are
+n-bit masks: the enumerators and samplers build int64 ones, and
+``_reconstruct_flags`` passes the uint8 table it rebuilds to
+``_separation_rows``, ``_symmetry_flags`` and ``_monotone``, which read any
+integer dtype.  Every table and separation-row array the package builds is
+column-major (``_separation_rows`` writes it too): each subset's column
 ``t[:, a]``, which the kernels read one at a time, is contiguous.  A kernel
 never reorders its input; a row-major one gives the same flags, only more
 slowly.  Flag outputs are bool with one row per instance.  Kernels are
@@ -63,15 +66,19 @@ f alone.  ``build_map_tables`` packs these sets into one bound word per
 codomain table, assignment and predicate asked for (a sweep step asks for
 the predicates its implications read): the nx-bit field of subset A sits
 at bit offset nx * A, so a word holds nx * 2**nx bits, which fit 64 for
-nx <= 4 (larger nx raises UniverseTooLarge).  The separation words take
-no loop over pairs: each is f⁻¹ of a union of codomain subsets, read from
-one cached lookup ``unions[w]``, the union of the subsets whose bits are set
-in the row word w.  The lookup has 2**2**ny entries, so the builder refuses
-ny > 4, where the sweeps stop.  The ``map_flags`` kernel packs
-each domain table the same way and reads predicate p as
-``(table word & bound word) == 0``.  The split lets a sweep build the bounds
-once per codomain block, then check every domain chunk against them with
-one broadcast AND.
+nx <= 4 (larger nx raises UniverseTooLarge).  Every field of the four
+words is f⁻¹(S) for a codomain subset S, or an OR of such, so all four take
+one route and no loop over pairs: a uint8 gather of the subsets S, one
+gather of their preimages, then a pack that ORs those sharing a field.
+Since f is total, f⁻¹(Y∖S) = X∖f⁻¹(S), so the closure words gather the
+complements Y∖cl_Y(B) of the codomain table; the separation words gather
+unions of codomain subsets from one cached lookup ``unions[w]``, the union
+of the subsets whose bits are set in the row word w.  The lookup has
+2**2**ny entries, so the builder refuses ny > 4, where the sweeps stop.
+The ``map_flags`` kernel packs each domain table the same way and reads
+predicate p as ``(table word & bound word) == 0``.  The split lets a sweep
+build the bounds once per codomain block, then check every domain chunk
+against them with one broadcast AND.
 """
 
 from __future__ import annotations
@@ -321,12 +328,6 @@ def _reconstruct_flags(rows, n, columns=(0, 1, 2, 3)):
     return np.stack([flags[c]() for c in columns], axis=1)
 
 
-def _closure_bound(ty, pres, ys, xs, nx, dtype):
-    # X \ f⁻¹(cl_Y(ys[f, u])) in the field of xs[f, u]
-    pre_cl = pres[np.arange(pres.shape[0])[:, None], ty[:, ys]]  # (sy, F, k)
-    return _pack(~pre_cl & ((1 << nx) - 1), xs, nx, dtype)
-
-
 def _map_flags(tx_block, ty, fmaps, bounds, nx, ny):
     # predicate p of map (i, j, f) holds iff the word of table i misses the
     # bound word bounds[j, f, p], for each column p the bounds hold; ny only
@@ -375,14 +376,18 @@ def build_map_tables(
     * preimage-separating: f⁻¹(D), ORed over every separated pair (C, D)
       of Y with f⁻¹(C) = A.
 
-    Each separation word is two gathers from ``_unions(ny)`` and pres:
-    the B ⊆ X with f(B) = C have union f⁻¹(C) when C ⊆ f(X), and none
-    otherwise, so the nonseparating field of A is f⁻¹ of the union of the
-    C ⊆ f(X) separated from f(A); the preimage-separating field of f⁻¹(C)
-    is f⁻¹ of the union of the D separated from C.  The temporaries hold
-    2**max(nx, ny) entries per word, so a large codomain is best passed a
-    slice at a time.  Raises UniverseTooLarge when the nx * 2**nx bits of
-    a word exceed 64, or when ny > 4."""
+    Each field is f⁻¹(S) for a codomain subset S, or an OR of such, so
+    every word is one uint8 gather of the subsets S, one gather of their
+    preimages from pres, and a pack.  As f is total, X∖f⁻¹(S) = f⁻¹(Y∖S):
+    the closure words gather Y∖cl_Y(f(A)) and Y∖cl_Y(B) from the
+    complemented codomain table.  The separation words gather from
+    ``_unions(ny)``: the B ⊆ X with f(B) = C have union f⁻¹(C) when
+    C ⊆ f(X), and none otherwise, so the nonseparating field of A is f⁻¹ of
+    the union of the C ⊆ f(X) separated from f(A); the preimage-separating
+    field of f⁻¹(C) is f⁻¹ of the union of the D separated from C.  The
+    temporaries hold 2**max(nx, ny) entries per word, so a large codomain
+    is best passed a slice at a time.  Raises UniverseTooLarge when the
+    nx * 2**nx bits of a word exceed 64, or when ny > 4."""
     if nx << nx > 64:
         raise UniverseTooLarge(f"a map bound word of {nx} * 2**{nx} bits does not fit 64 bits")
     if ny > 4:
@@ -395,13 +400,21 @@ def build_map_tables(
     imgs = np.bitwise_or.reduce((xs[..., None] >> points & 1) << fmaps[:, None, :], axis=-1)
     pres = np.bitwise_or.reduce((ys[..., None] >> fmaps[:, None, :] & 1) << points, axis=-1)
     fs = np.arange(fmaps.shape[0])[:, None]
+
+    def field(cs, at):
+        # f⁻¹(cs[..., f, u]) in the field of at[f, u]
+        return _pack(pres[fs, cs], at, nx, dtype)
+
+    full = (1 << ny) - 1
+    # outside[s, b] = Y \ cl_Y(b), whose preimage is X \ f⁻¹(cl_Y(b))
+    outside = (ty ^ full).astype(np.uint8)
     rows = functools.cache(functools.partial(_separation_rows, ty, ny))
     # the words of the subsets of f(X): those that miss its complement
-    onto = _disjoint_words(ny)[imgs[:, -1] ^ ((1 << ny) - 1)][:, None]
+    onto = _disjoint_words(ny)[imgs[:, -1] ^ full][:, None]
     words = (
-        lambda: _closure_bound(ty, pres, imgs, xs, nx, dtype),
-        lambda: _closure_bound(ty, pres, ys, pres, nx, dtype),
-        lambda: _pack(pres[fs, _unions(ny)[rows()[:, imgs] & onto]], xs, nx, dtype),
-        lambda: _pack(pres[fs, _unions(ny)[rows()][:, None]], pres, nx, dtype),
+        lambda: field(outside[:, imgs], xs),
+        lambda: field(outside[:, None], pres),
+        lambda: field(_unions(ny)[rows()[:, imgs] & onto], xs),
+        lambda: field(_unions(ny)[rows()][:, None], pres),
     )
     return np.stack([words[c]() for c in columns], axis=-1)

@@ -350,7 +350,8 @@ def _names(profile: type) -> tuple[str, ...]:
 
 # the predicates each kernel flags, in column order; a kernel that computes a
 # library profile flags its fields.  A kernel of several columns takes the
-# indices of the columns to return as a third argument
+# indices of the columns to return as a third argument; map_flags reads the
+# columns of the bound words build_map_tables was asked for
 _KERNEL_FLAGS = {
     "axiom_flags": _names(AxiomProfile),
     "symmetry_flags": _names(SymmetryProfile),
@@ -363,13 +364,13 @@ _KERNEL_FLAGS = {
         "rebuilt_pointwise_symmetric",
         "rebuilt_same_pairs",
     ),
+    "map_flags": _names(MapProfile),
 }
 _FLAG_COLUMNS = {
     name: (kernel_name, column)
     for kernel_name, names in _KERNEL_FLAGS.items()
     for column, name in enumerate(names)
 }
-MAP_PREDICATES = {name: column for column, name in enumerate(_names(MapProfile))}
 
 
 def _profile_consistent(tables: np.ndarray, n: int) -> np.ndarray:
@@ -406,12 +407,12 @@ def _map_witness(nx: int, ny: int, row: np.ndarray) -> dict:
     return {"kind": "map", "nx": nx, "ny": ny, "map": formats.map_document(mp)}
 
 
-def _violations(shape: tuple, get: Callable, implications) -> tuple[int, tuple]:
+def _violations(shape: tuple, columns: dict, implications) -> tuple[int, tuple]:
     """Evaluate implications on a block of instances indexed by ``shape``.
 
-    ``get`` gives a named predicate's bool column over the block
-    (broadcastable to ``shape``); a column may be a view of a kernel's
-    output or a cached column, so it is read, never written.  Returns the
+    ``columns`` maps each predicate the implications name to its bool
+    column over the block (broadcastable to ``shape``); a column may be a
+    view of a kernel's output, so it is read, never written.  Returns the
     number of (instance, implication) pairs whose hypothesis holds and
     whose conclusions do not all hold, and the instances of the first
     VIOLATION_CAP of them in sweep order (instance by instance, each
@@ -422,7 +423,7 @@ def _violations(shape: tuple, get: Callable, implications) -> tuple[int, tuple]:
     def holds(names: tuple[str, ...]) -> np.ndarray:
         mask = np.ones(shape, bool)
         for name in names:
-            mask &= get(name)
+            mask &= columns[name]
         return mask
 
     bad = np.stack([holds(i.hypothesis) & ~holds(i.conclusion) for i in implications], axis=-1)
@@ -439,9 +440,11 @@ def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple
     the rows of the first VIOLATION_CAP; the formatter makes a document of
     one such row.
 
-    The step works out once which columns each kernel must supply for the
-    predicates the implications read, sorted, and where each predicate
-    sits among them.
+    The step works out once, for any universe, which columns each kernel
+    must supply for the predicates the implications read, sorted, and where
+    each predicate sits among them.  On each block it hands
+    :func:`_violations` one view of a kernel's output per predicate, by
+    name, plus the audit's ``profile_consistent`` column when it is named.
 
     Over spaces or relations, at n = nx, the block's rows are tables or
     separation rows, one instance each, and a chunk holds _CHUNK of them.
@@ -450,21 +453,21 @@ def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple
     Over maps, a block is of domain tables at nx, and its instances are
     the maps into the codomain tables ``ty`` at ny, ordered by domain
     table, codomain table, then assignment (lexicographic); the bound words
-    of ``ty`` that the implications read are built once, here, and a chunk
+    of ``ty`` for the map_flags columns are built once, here, and a chunk
     holds the domain tables that stand for at most _CHUNK maps, and at
     least one.
     """
     universe = implications[0].universe
     names = {name for i in implications for name in i.hypothesis + i.conclusion}
+    # _FLAG_COLUMNS lists each kernel's columns in order, so these are sorted
+    columns: dict[str, tuple[int, ...]] = {}
+    for name, (kernel_name, column) in _FLAG_COLUMNS.items():
+        if name in names:
+            columns[kernel_name] = columns.get(kernel_name, ()) + (column,)
+    where = {
+        name: (k, columns[k].index(c)) for name, (k, c) in _FLAG_COLUMNS.items() if name in names
+    }
     if not isinstance(universe, tuple):
-        # _FLAG_COLUMNS lists each kernel's columns in order, so these are sorted
-        columns: dict[str, tuple[int, ...]] = {}
-        for name, (kernel_name, column) in _FLAG_COLUMNS.items():
-            if name in names:
-                columns[kernel_name] = columns.get(kernel_name, ()) + (column,)
-        where = {
-            name: (k, columns[k].index(c)) for name, (k, c) in _FLAG_COLUMNS.items() if name in names
-        }
         args = {k: (c,) if len(c) < len(_KERNEL_FLAGS[k]) else () for k, c in columns.items()}
 
         def evaluate(tables: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -472,36 +475,27 @@ def _step(nx: int, ny: int, implications, ty: np.ndarray | None = None) -> tuple
                 k: _kernels.kernel(k)(tables, nx, *a).reshape(tables.shape[0], -1)
                 for k, a in args.items()
             }
-
-            def get(name: str) -> np.ndarray:
-                if name == "profile_consistent":
-                    return _profile_consistent(tables, nx)
-                kernel_name, position = where[name]
-                return flags[kernel_name][:, position]
-
-            total, (i,) = _violations(tables.shape[:1], get, implications)
+            named = {name: flags[k][:, p] for name, (k, p) in where.items()}
+            if "profile_consistent" in names:
+                named["profile_consistent"] = _profile_consistent(tables, nx)
+            total, (i,) = _violations(tables.shape[:1], named, implications)
             return tables.shape[0], total, tables[i]
 
         witness = _relation_witness if universe == "relations" else _space_witness
         return evaluate, partial(witness, nx), _CHUNK
     fmaps = all_assignments(nx, ny)
-    columns = tuple(sorted(MAP_PREDICATES[name] for name in names))
-    where = {name: columns.index(MAP_PREDICATES[name]) for name in names}
     # the builder's temporaries hold 2**max(nx, ny) entries per word, so it
     # takes _CHUNK // len(fmaps) codomain tables at a time
     loaders = slice_loaders(ty, max(1, _CHUNK // fmaps.shape[0]))
     bounds = np.concatenate(
-        [_kernels.build_map_tables(load(), fmaps, nx, ny, columns) for load in loaders]
+        [_kernels.build_map_tables(load(), fmaps, nx, ny, columns["map_flags"]) for load in loaders]
     )
     map_flags = _kernels.kernel("map_flags")
 
     def evaluate(tx: np.ndarray) -> tuple[int, int, np.ndarray]:
         out = map_flags(tx, ty, fmaps, bounds, nx, ny)
-
-        def get(name: str) -> np.ndarray:
-            return out[..., where[name]]
-
-        total, (i, j, f) = _violations(out.shape[:3], get, implications)
+        named = {name: out[..., p] for name, (_, p) in where.items()}
+        total, (i, j, f) = _violations(out.shape[:3], named, implications)
         rows = np.concatenate([tx[i], ty[j], fmaps[f]], axis=1)
         return math.prod(out.shape[:3]), total, rows
 

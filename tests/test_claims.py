@@ -52,16 +52,17 @@ def test_catalog_ids_are_complete():
 
 def _misplaced_predicates(catalog: dict) -> list:
     # the (claim, predicate) pairs whose predicate the claim's universe does
-    # not evaluate: a map universe reads MAP_PREDICATES, the relations the
-    # reconstruct_flags columns, and a table class the other kernel columns
+    # not evaluate: a map universe reads the map_flags columns, the relations
+    # the reconstruct_flags columns, and a table class the other kernel columns
     relation = set(claims._KERNEL_FLAGS["reconstruct_flags"])
-    table = set(claims._FLAG_COLUMNS) - relation | {"profile_consistent"}
+    mapping = set(claims._KERNEL_FLAGS["map_flags"])
+    table = set(claims._FLAG_COLUMNS) - relation - mapping | {"profile_consistent"}
     misplaced = []
     for claim in catalog.values():
         for impl in claim.implications:
             if isinstance(impl.universe, tuple):
                 assert set(impl.universe) <= set(cs.CLASSES), claim.id
-                allowed = set(claims.MAP_PREDICATES)
+                allowed = mapping
             elif impl.universe == "relations":
                 allowed = relation
             else:
