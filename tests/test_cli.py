@@ -180,15 +180,48 @@ def test_sampled_map_violations_at_n3_match_the_golden(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("claim=bogus-iso-pws-cont n=3 checked=1080000 violations=1010189 ")
     assert out == golden.read_text()
+    # and each witness is one: an isotonic domain, an isotonic
+    # pointwise-symmetric codomain, and a map that is not continuous
+    witnesses = out.splitlines()[1:]
+    assert len(witnesses) == claims.VIOLATION_CAP
+    for line in witnesses:
+        ux, clx, uy, cly, f = oracles.from_map(formats.map_from_document(json.loads(line)["map"]))
+        assert oracles.isotonic(ux, clx)
+        assert oracles.isotonic(uy, cly) and oracles.pointwise_symmetric(uy, cly)
+        assert not oracles.continuous(ux, clx, uy, cly, f)
+
+
+# golden, sizes, extra arguments, and the (n, claim) calls that exit 2: at a
+# budget of 1000 a map claim (its universe a (domain, codomain) pair) at
+# n >= 3, and thm-reconstruct at n = 4, afford no sample, and print nothing
+_VERIFY_GOLDENS = (
+    ("verify-n1-n2.txt", (1, 2), (), set()),
+    ("verify-n3.txt", (3,), (), set()),
+    ("verify-n4.txt", (4,), (), set()),
+    (
+        "verify-budget1000.txt",
+        (1, 2, 3, 4),
+        ("--budget", "1000"),
+        {
+            (n, c)
+            for n in (3, 4)
+            for c, claim in claims.CATALOG.items()
+            if isinstance(claim.implications[0].universe, tuple)
+        }
+        | {(4, "thm-reconstruct")},
+    ),
+)
 
 
 def test_verify_stdout_matches_the_golden(capsys):
-    # every claim of the catalog at n = 1 and 2, then at n = 3, byte for byte
-    for name, sizes in (("verify-n1-n2.txt", (1, 2)), ("verify-n3.txt", (3,))):
+    # every claim of the catalog at each size, byte for byte, and every
+    # call's exit code
+    for name, sizes, extra, no_sample in _VERIFY_GOLDENS:
         golden = Path(__file__).parent / "goldens" / name
         for n in sizes:
             for claim_id in claims.CATALOG:
-                assert main(["--quiet", "verify", "--claim", claim_id, "--n", str(n)]) == 0
+                code = main(["--quiet", "verify", "--claim", claim_id, "--n", str(n), *extra])
+                assert code == (2 if (n, claim_id) in no_sample else 0), (name, n, claim_id)
         assert capsys.readouterr().out == golden.read_text(), name
 
 
