@@ -4,33 +4,32 @@ Exhaustive streams are deterministic and lexicographic over table entries
 (entry for subset 0 most significant).  Every table array they and the
 samplers return has the logical shape (count, 2**n) in column-major memory,
 so each subset's column is contiguous; a row slice keeps that.  No class is
-found by filtering a larger universe.  Each class but 'all' has one
-vectorized assembler, shared by its exhaustive stream, its seeded sampler
-and its count in :func:`class_size`; only the source of the parameters
-differs (every combination, or seeded draws).  The four classes:
+found by filtering a larger universe.  Every class numbers its tables
+0, 1, ..., size - 1, and each class but 'all' is a decoder of those numbers
+(in :data:`_DECODERS`).  The four classes:
 
 * all: table m lists the base-2**n digits of m (:func:`all_tables_block`).
 * isotonic tables factor into one upward-closed family of subsets (up-set)
-  per output bit.  :func:`_isotonic_rows` builds tables from one up-set pick
-  per bit.
+  per output bit, and :func:`_isotonic_rows` builds tables from one up-set
+  pick per bit.  :func:`_isotonic_decode` reads the picks off a number's
+  base-u digits, u being the number of up-sets.
 * isotonic pointwise-symmetric tables are the picks whose singleton
   signature M[x][y] = [{y} in U_x] is a symmetric matrix.
-  :func:`_pws_rows` numbers them: matrix by matrix, M owning as many numbers
-  as there are picks of an up-set with signature M[x] for every x.
+  :func:`_pws_decode` numbers them: matrix by matrix, M owning as many
+  numbers as there are picks of an up-set with signature M[x] for every x.
 * exterior-separated tables are exactly those whose singleton rows form a
   symmetric matrix R and whose entry for each A contains the forced mask
-  {x : R(x) meets A}.  :func:`_extsep_rows` numbers them matrix by matrix
+  {x : R(x) meets A}.  :func:`_extsep_decode` numbers them matrix by matrix
   too, R owning 2**k numbers, k being the number of bits outside the forced
   masks of the entries that are not singletons.
 
 Both matrix-built classes keep one cached parts table per n (the matrices'
-parameters and table counts) and one decoder from table numbers, which
-finds the owning matrix through :func:`_runs`.  That decoder serves the
-class three ways: its stream is the sorted decode of every number, its
-sample the decode of uniform numbers, and its size, in :func:`class_size`,
-the sum of its run lengths.  So every sampler is uniform over its class: the
-'all' sampler draws every entry uniformly, the isotonic sampler one pick
-per output bit, and the matrix-built samplers uniform table numbers.
+parameters and table counts), and their decoders find the owning matrix
+through :func:`_runs`.  A decoder serves its class two ways: its stream,
+cached by :func:`_class_stream`, is the sorted decode of every number, and
+its sample the decode of uniform numbers.  So there are two sampling rules,
+both uniform over the class: the 'all' sampler draws every entry uniformly,
+and every other sampler draws uniform table numbers.
 
 All constructions are cross-checked against filter-based oracles in the
 test suite.
@@ -135,13 +134,13 @@ def _lexicographic(rows: np.ndarray) -> np.ndarray:
     return ordered
 
 
-@lru_cache(maxsize=8)
-def isotonic_tables(n: int) -> np.ndarray:
-    """All isotonic tables on n elements, lexicographic, as an int64 array."""
-    _check_stream(n, "isotonic")
+def _isotonic_decode(index: np.ndarray, n: int) -> np.ndarray:
+    """The isotonic tables numbered ``index``: the number's base-u digits, u
+    being the number of up-sets (bit 0 most significant), pick the up-set of
+    each output bit."""
     fams = upset_families(n)
-    picks = np.indices((len(fams),) * n).reshape(n, -1).T
-    return _lexicographic(_isotonic_rows(fams, picks, n))
+    digits = len(fams) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return _isotonic_rows(fams, index[:, None] // digits % len(fams), n)
 
 
 def _matrix_count(n: int) -> int:
@@ -190,7 +189,7 @@ def _pws_parts(n: int):
     return (tuple(fams[i] for i in order), *parts)
 
 
-def _pws_rows(index: np.ndarray, n: int) -> np.ndarray:
+def _pws_decode(index: np.ndarray, n: int) -> np.ndarray:
     """The isotonic pointwise-symmetric tables numbered ``index``.
 
     The matrices own consecutive runs of numbers, in matrix-bits order.
@@ -242,7 +241,7 @@ def _extsep_parts(n: int):
     return parts
 
 
-def _extsep_rows(index: np.ndarray, n: int) -> np.ndarray:
+def _extsep_decode(index: np.ndarray, n: int) -> np.ndarray:
     """The exterior-separated tables numbered ``index``.
 
     The matrices own consecutive runs of numbers, in matrix-bits order.
@@ -261,17 +260,30 @@ def _extsep_rows(index: np.ndarray, n: int) -> np.ndarray:
     return cols.T
 
 
-@lru_cache(maxsize=8)
+_DECODERS = {
+    "isotonic": _isotonic_decode,
+    "isotonic_pointwise_symmetric": _pws_decode,
+    "exterior_separated": _extsep_decode,
+}
+
+
+@lru_cache(maxsize=None)
+def _class_stream(n: int, cls: str) -> np.ndarray:
+    """All tables of a class but 'all' on n elements, lexicographic: the
+    sorted decode of every table number.  At most 9 arrays are cached (n <=
+    3, three classes); the largest, exterior-separated at n = 3, is 3.3 MB."""
+    _check_stream(n, cls)
+    return _lexicographic(_DECODERS[cls](np.arange(class_size(n, cls)), n))
+
+
+def isotonic_tables(n: int) -> np.ndarray:
+    """All isotonic tables on n elements, lexicographic, as an int64 array."""
+    return _class_stream(n, "isotonic")
+
+
 def extsep_tables(n: int) -> np.ndarray:
     """All exterior-separated tables on n elements, lexicographic."""
-    _check_stream(n, "exterior_separated")
-    return _lexicographic(_extsep_rows(np.arange(class_size(n, "exterior_separated")), n))
-
-
-@lru_cache(maxsize=8)
-def _pws_tables(n: int) -> np.ndarray:
-    """All isotonic pointwise-symmetric tables, lexicographic."""
-    return _lexicographic(_pws_rows(np.arange(class_size(n, "isotonic_pointwise_symmetric")), n))
+    return _class_stream(n, "exterior_separated")
 
 
 def class_size(n: int, cls: str) -> int:
@@ -328,13 +340,7 @@ def chunk_loaders(
             partial(all_tables_block, n, start, min(start + chunk_size, total))
             for start in range(0, total, chunk_size)
         ]
-    if cls == "isotonic":
-        tables = isotonic_tables(n)
-    elif cls == "exterior_separated":
-        tables = extsep_tables(n)
-    else:
-        tables = _pws_tables(n)
-    return slice_loaders(tables, chunk_size)
+    return slice_loaders(_class_stream(n, cls), chunk_size)
 
 
 def iter_table_chunks(n: int, cls: str, *, chunk_size: int = _CHUNK) -> Iterator[np.ndarray]:
@@ -351,23 +357,17 @@ def iter_table_chunks(n: int, cls: str, *, chunk_size: int = _CHUNK) -> Iterator
 
 def sample_tables(n: int, cls: str, count: int, seed: int) -> np.ndarray:
     """Exactly ``count`` class members as an int64 table array,
-    deterministic for a fixed seed."""
+    deterministic for a fixed seed, drawn uniformly from the class: for
+    'all' every entry uniformly, for every other class uniform table numbers,
+    decoded."""
     _check_class(cls)
     if n > SAMPLE_MAX_N:
         raise UniverseTooLarge(f"sampling is limited to n <= {SAMPLE_MAX_N}, got {n}")
-    size = 1 << n
     rng = np.random.default_rng(seed)
-
     if cls == "all":
+        size = 1 << n
         return np.asfortranarray(rng.integers(0, size, size=(count, size), dtype=np.int64))
-
-    if cls == "isotonic":
-        fams = upset_families(n)
-        picks = rng.integers(0, len(fams), size=(count, n))
-        return _isotonic_rows(fams, picks, n)
-
-    decode = _pws_rows if cls == "isotonic_pointwise_symmetric" else _extsep_rows
-    return decode(rng.integers(0, class_size(n, cls), size=count), n)
+    return _DECODERS[cls](rng.integers(0, class_size(n, cls), size=count), n)
 
 
 def all_assignments(nx: int, ny: int) -> np.ndarray:

@@ -258,13 +258,23 @@ def upset_families(n):
 
 
 def isotonic_sample(n, count, seed):
-    """Bit j of entry A is set iff A lies in the up-set picked for j."""
+    """Uniform table numbers, decoded one table at a time.
+
+    The digits of a number in base u, the number of up-sets (bit 0 most
+    significant), pick for each bit j one up-set U_j, in ascending order;
+    bit j of entry A is set iff A lies in U_j.
+    """
     fams = upset_families(n)
-    picks = np.random.default_rng(seed).integers(0, len(fams), size=(count, n))
-    return [
-        [sum(1 << j for j in range(n) if (fams[p[j]] >> a) & 1) for a in range(1 << n)]
-        for p in picks
-    ]
+    tables = []
+    for number in np.random.default_rng(seed).integers(0, len(fams) ** n, size=count).tolist():
+        picked = [0] * n
+        for j in reversed(range(n)):
+            number, digit = divmod(number, len(fams))
+            picked[j] = fams[digit]
+        tables.append(
+            [sum(1 << j for j in range(n) if (picked[j] >> a) & 1) for a in range(1 << n)]
+        )
+    return tables
 
 
 def isotonic_pointwise_symmetric_sample(n, count, seed):
