@@ -270,8 +270,9 @@ _DECODERS = {
 @lru_cache(maxsize=None)
 def _class_stream(n: int, cls: str) -> np.ndarray:
     """All tables of a class but 'all' on n elements, lexicographic: the
-    sorted decode of every table number.  At most 9 arrays are cached (n <=
-    3, three classes); the largest, exterior-separated at n = 3, is 3.3 MB."""
+    sorted decode of every table number.  The check keeps the cache small:
+    three classes at n = 1..3 are 9 arrays, the largest (exterior-separated
+    at n = 3) 3.3 MB."""
     _check_stream(n, cls)
     return _lexicographic(_DECODERS[cls](np.arange(class_size(n, cls)), n))
 
